@@ -17,60 +17,48 @@ Quickstart::
     print(base.cycles, fast.cycles)
 """
 
-from .config import (
-    AssignmentPolicy,
-    GPUConfig,
-    MemoryConfig,
-    SchedulerPolicy,
-    ampere_a100,
-    bank_stealing,
-    fully_connected,
-    kepler,
-    rba,
-    shuffle,
-    shuffle_rba,
-    srr,
-    tpch_config,
-    volta_v100,
-    with_cus,
-)
-from .gpu import GPU, DeadlockError, KernelLaunch, simulate
-from .metrics import SimStats, geomean, percent_speedup, speedup
-from .obs import Tracer, write_chrome_trace
-from .trace import CTATrace, KernelTrace, TraceBuilder, WarpTrace, make_kernel
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_package
+
+if TYPE_CHECKING:
+    from .config import (
+        AssignmentPolicy,
+        GPUConfig,
+        MemoryConfig,
+        SchedulerPolicy,
+        ampere_a100,
+        bank_stealing,
+        fully_connected,
+        kepler,
+        rba,
+        shuffle,
+        shuffle_rba,
+        srr,
+        tpch_config,
+        volta_v100,
+        with_cus,
+    )
+    from .gpu import GPU, DeadlockError, KernelLaunch, simulate
+    from .metrics import SimStats, geomean, percent_speedup, speedup
+    from .obs import Tracer, write_chrome_trace
+    from .trace import CTATrace, KernelTrace, TraceBuilder, WarpTrace, make_kernel
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AssignmentPolicy",
-    "GPUConfig",
-    "MemoryConfig",
-    "SchedulerPolicy",
-    "ampere_a100",
-    "bank_stealing",
-    "fully_connected",
-    "kepler",
-    "rba",
-    "shuffle",
-    "shuffle_rba",
-    "srr",
-    "tpch_config",
-    "volta_v100",
-    "with_cus",
-    "GPU",
-    "DeadlockError",
-    "KernelLaunch",
-    "simulate",
-    "SimStats",
-    "geomean",
-    "percent_speedup",
-    "speedup",
-    "Tracer",
-    "write_chrome_trace",
-    "CTATrace",
-    "KernelTrace",
-    "TraceBuilder",
-    "WarpTrace",
-    "make_kernel",
-    "__version__",
-]
+__all__ = lazy_package(
+    __name__,
+    {
+        "config": [
+            "AssignmentPolicy", "GPUConfig", "MemoryConfig", "SchedulerPolicy",
+            "ampere_a100", "bank_stealing", "fully_connected", "kepler", "rba",
+            "shuffle", "shuffle_rba", "srr", "tpch_config", "volta_v100", "with_cus",
+        ],
+        "gpu": ["GPU", "DeadlockError", "KernelLaunch", "simulate"],
+        "metrics": ["SimStats", "geomean", "percent_speedup", "speedup"],
+        "obs": ["Tracer", "write_chrome_trace"],
+        "trace": [
+            "CTATrace", "KernelTrace", "TraceBuilder", "WarpTrace", "make_kernel",
+        ],
+    },
+) + ["__version__"]

@@ -59,43 +59,48 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Dict, List, Tuple
+from importlib import import_module
 
-from . import experiments as ex
-from .experiments.engine import configure, get_engine
-
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
-    "fig01": ex.fig01_partitioning.main,
-    "fig03": ex.fig03_fma_imbalance.main,
-    "fig08": ex.fig08_imbalance_scaling.main,
-    "fig09": ex.fig09_all_apps.main,
-    "fig10": ex.fig10_sensitive.main,
-    "fig11": ex.fig11_fc_rba.main,
-    "fig12": ex.fig12_cu_scaling.main,
-    "fig13": ex.fig13_area_power.main,
-    "fig14": ex.fig14_rf_utilization.main,
-    "fig15": ex.fig15_tpch_compressed.main,
-    "fig16": ex.fig16_tpch_uncompressed.main,
-    "fig17": ex.fig17_issue_cov.main,
-    "fig18": ex.fig18_sm_scaling.main,
-    "cu-validation": ex.cu_validation.main,
-    "rba-latency": ex.rba_latency.main,
-    "rba-banks": ex.rba_banks.main,
-    "hash-table": ex.hash_table_size.main,
-    "headline": ex.headline.main,
-    "ablation-mapping": ex.ablation_bank_mapping.main,
-    "subcore-granularity": ex.subcore_granularity.main,
-    "work-stealing": ex.work_stealing_study.main,
-    "effect4": ex.effect4_concurrent.main,
-    "ablation-scheduler": ex.ablation_baseline_scheduler.main,
+#: Experiment name -> module under ``repro.experiments`` exposing ``main()``.
+#: Only the modules of the names requested are imported; ``list``, ``--help``
+#: and an unknown name import nothing beyond this file.
+EXPERIMENTS: dict[str, str] = {
+    "fig01": "fig01_partitioning",
+    "fig03": "fig03_fma_imbalance",
+    "fig08": "fig08_imbalance_scaling",
+    "fig09": "fig09_all_apps",
+    "fig10": "fig10_sensitive",
+    "fig11": "fig11_fc_rba",
+    "fig12": "fig12_cu_scaling",
+    "fig13": "fig13_area_power",
+    "fig14": "fig14_rf_utilization",
+    "fig15": "fig15_tpch_compressed",
+    "fig16": "fig16_tpch_uncompressed",
+    "fig17": "fig17_issue_cov",
+    "fig18": "fig18_sm_scaling",
+    "cu-validation": "cu_validation",
+    "rba-latency": "rba_latency",
+    "rba-banks": "rba_banks",
+    "hash-table": "hash_table_size",
+    "headline": "headline",
+    "ablation-mapping": "ablation_bank_mapping",
+    "subcore-granularity": "subcore_granularity",
+    "work-stealing": "work_stealing_study",
+    "effect4": "effect4_concurrent",
+    "ablation-scheduler": "ablation_baseline_scheduler",
 }
+
+
+def experiment_module(name: str):
+    """Import and return the module behind a registered experiment name."""
+    return import_module(f"{__package__}.experiments.{EXPERIMENTS[name]}")
 
 
 class _CLIError(ValueError):
     pass
 
 
-def _parse_args(args: List[str]) -> Tuple[dict, List[str]]:
+def _parse_args(args: list[str]) -> tuple[dict, list[str]]:
     """Split engine flags from experiment names."""
     opts = {
         "workers": None,
@@ -124,7 +129,7 @@ def _parse_args(args: List[str]) -> Tuple[dict, List[str]]:
         "--status-file": "status_file",
         "--journal": "journal",
     }
-    names: List[str] = []
+    names: list[str] = []
     i = 0
     while i < len(args):
         arg = args[i]
@@ -199,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     standalone = opts["profile_report"] is not None or opts["trace"]
-    if (not names and not standalone) or names == ["list"] or "-h" in names or "--help" in names:
+    if (not names and not standalone) or any(a in names for a in ("list", "-h", "--help")):
         print(__doc__)
         print("experiments:")
         for name in EXPERIMENTS:
@@ -213,6 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"options: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
+    from .experiments.engine import configure, get_engine
+
     workers = opts["workers"]
     if workers is None:
         workers = int(os.environ.get("REPRO_WORKERS", "0") or 0) or (
@@ -220,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     metrics = None
     if opts["metrics_dir"] is not None:
-        from .obs import MetricsRegistry
+        from .obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
     configure(
@@ -248,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         status = _run_profile_report(opts["profile_report"])
     for name in names:
         print(f"\n=== {name} ===")
-        EXPERIMENTS[name]()
+        experiment_module(name).main()
     if opts["profile"]:
         print(f"\n{get_engine().profile_summary()}")
     if opts["trace"]:

@@ -31,20 +31,20 @@ package, while the linter half must stay importable from
 :mod:`repro.core` without cycles.
 """
 
-from .invariants import InvariantViolation, Sanitizer
-from .linter import Finding, LintReport, lint_paths, lint_source
-from .rules import RULES, Rule, all_rules, get_rule, register_rules
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Finding",
-    "InvariantViolation",
-    "LintReport",
-    "RULES",
-    "Rule",
-    "Sanitizer",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
-    "register_rules",
-]
+from .._lazy import lazy_package
+
+if TYPE_CHECKING:
+    from .invariants import InvariantViolation, Sanitizer
+    from .linter import Finding, LintReport, lint_paths, lint_source
+    from .rules import RULES, Rule, all_rules, get_rule, register_rules
+
+__all__ = lazy_package(
+    __name__,
+    {
+        "invariants": ["InvariantViolation", "Sanitizer"],
+        "linter": ["Finding", "LintReport", "lint_paths", "lint_source"],
+        "rules": ["RULES", "Rule", "all_rules", "get_rule", "register_rules"],
+    },
+)

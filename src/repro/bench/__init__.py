@@ -12,31 +12,32 @@ the CI ``bench-smoke`` job gates against; ``BENCH_pr<N>.json`` files
 record the trajectory across PRs.
 """
 
-from .compare import Comparison, compare_reports
-from .harness import REPORT_SCHEMA, calibrate, run_point, run_suite, summary
-from .schema import validate_report
-from .suite import (
-    FULL_SUITE,
-    QUICK_SUITE,
-    SUITE_VERSION,
-    SUITES,
-    BenchPoint,
-    get_suite,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BenchPoint",
-    "Comparison",
-    "FULL_SUITE",
-    "QUICK_SUITE",
-    "REPORT_SCHEMA",
-    "SUITES",
-    "SUITE_VERSION",
-    "calibrate",
-    "compare_reports",
-    "get_suite",
-    "run_point",
-    "run_suite",
-    "summary",
-    "validate_report",
-]
+from .._lazy import lazy_package
+
+if TYPE_CHECKING:
+    from .compare import Comparison, compare_reports
+    from .harness import REPORT_SCHEMA, calibrate, run_point, run_suite, summary
+    from .schema import validate_report
+    from .suite import (
+        FULL_SUITE,
+        QUICK_SUITE,
+        SUITE_VERSION,
+        SUITES,
+        BenchPoint,
+        get_suite,
+    )
+
+__all__ = lazy_package(
+    __name__,
+    {
+        "compare": ["Comparison", "compare_reports"],
+        "harness": ["REPORT_SCHEMA", "calibrate", "run_point", "run_suite", "summary"],
+        "schema": ["validate_report"],
+        "suite": [
+            "FULL_SUITE", "QUICK_SUITE", "SUITE_VERSION", "SUITES", "BenchPoint",
+            "get_suite",
+        ],
+    },
+)

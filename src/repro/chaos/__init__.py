@@ -23,44 +23,43 @@ CLI::
     python -m repro.chaos --list           # fault classes and sites
 """
 
-from .hooks import (
-    PARENT_ENV,
-    PLAN_ENV,
-    ChaosFault,
-    active_plan,
-    clear_plan,
-    install_plan,
-    reset,
-    trip,
-)
-from .plan import (
-    FAULTS,
-    PLAN_SCHEMA_VERSION,
-    SITES,
-    FaultPlan,
-    FaultRule,
-    plan_from_json,
-    plan_loads,
-    single_fault_plan,
-    validate_plan,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "FAULTS",
-    "PARENT_ENV",
-    "PLAN_ENV",
-    "PLAN_SCHEMA_VERSION",
-    "SITES",
-    "ChaosFault",
-    "FaultPlan",
-    "FaultRule",
-    "active_plan",
-    "clear_plan",
-    "install_plan",
-    "plan_from_json",
-    "plan_loads",
-    "reset",
-    "single_fault_plan",
-    "trip",
-    "validate_plan",
-]
+from .._lazy import lazy_package
+
+if TYPE_CHECKING:
+    from .hooks import (
+        PARENT_ENV,
+        PLAN_ENV,
+        ChaosFault,
+        active_plan,
+        clear_plan,
+        install_plan,
+        reset,
+        trip,
+    )
+    from .plan import (
+        FAULTS,
+        PLAN_SCHEMA_VERSION,
+        SITES,
+        FaultPlan,
+        FaultRule,
+        plan_from_json,
+        plan_loads,
+        single_fault_plan,
+        validate_plan,
+    )
+
+__all__ = lazy_package(
+    __name__,
+    {
+        "hooks": [
+            "PARENT_ENV", "PLAN_ENV", "ChaosFault", "active_plan", "clear_plan",
+            "install_plan", "reset", "trip",
+        ],
+        "plan": [
+            "FAULTS", "PLAN_SCHEMA_VERSION", "SITES", "FaultPlan", "FaultRule",
+            "plan_from_json", "plan_loads", "single_fault_plan", "validate_plan",
+        ],
+    },
+)

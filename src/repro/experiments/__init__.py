@@ -6,91 +6,75 @@ rows the paper reports.  EXPERIMENTS.md records paper-vs-measured for
 every entry.
 """
 
-from . import (
-    ablation_bank_mapping,
-    ablation_baseline_scheduler,
-    cu_validation,
-    effect4_concurrent,
-    fig01_partitioning,
-    fig03_fma_imbalance,
-    fig08_imbalance_scaling,
-    fig09_all_apps,
-    fig10_sensitive,
-    fig11_fc_rba,
-    fig12_cu_scaling,
-    fig13_area_power,
-    fig14_rf_utilization,
-    fig15_tpch_compressed,
-    fig16_tpch_uncompressed,
-    fig17_issue_cov,
-    fig18_sm_scaling,
-    hash_table_size,
-    headline,
-    subcore_granularity,
-    work_stealing_study,
-    rba_banks,
-    rba_latency,
-)
-from . import sweep
-from .engine import (
-    ExperimentEngine,
-    SimPoint,
-    configure,
-    get_engine,
-    point_key,
-)
-from .export import dump_json, load_json, result_to_dict, stats_to_dict
-from .designs import DESIGNS, design_names, get_design
-from .runner import (
-    cache_size,
-    clear_cache,
-    prefetch,
-    run_app,
-    run_kernel,
-    speedups_over_baseline,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ablation_bank_mapping",
-    "ablation_baseline_scheduler",
-    "headline",
-    "subcore_granularity",
-    "work_stealing_study",
-    "cu_validation",
-    "effect4_concurrent",
-    "fig01_partitioning",
-    "fig03_fma_imbalance",
-    "fig08_imbalance_scaling",
-    "fig09_all_apps",
-    "fig10_sensitive",
-    "fig11_fc_rba",
-    "fig12_cu_scaling",
-    "fig13_area_power",
-    "fig14_rf_utilization",
-    "fig15_tpch_compressed",
-    "fig16_tpch_uncompressed",
-    "fig17_issue_cov",
-    "fig18_sm_scaling",
-    "hash_table_size",
-    "rba_banks",
-    "rba_latency",
-    "sweep",
-    "dump_json",
-    "load_json",
-    "result_to_dict",
-    "stats_to_dict",
-    "DESIGNS",
-    "design_names",
-    "get_design",
-    "ExperimentEngine",
-    "SimPoint",
-    "configure",
-    "get_engine",
-    "point_key",
-    "cache_size",
-    "clear_cache",
-    "prefetch",
-    "run_app",
-    "run_kernel",
-    "speedups_over_baseline",
-]
+from .._lazy import lazy_package
+
+if TYPE_CHECKING:
+    from . import (
+        ablation_bank_mapping,
+        ablation_baseline_scheduler,
+        cu_validation,
+        effect4_concurrent,
+        fig01_partitioning,
+        fig03_fma_imbalance,
+        fig08_imbalance_scaling,
+        fig09_all_apps,
+        fig10_sensitive,
+        fig11_fc_rba,
+        fig12_cu_scaling,
+        fig13_area_power,
+        fig14_rf_utilization,
+        fig15_tpch_compressed,
+        fig16_tpch_uncompressed,
+        fig17_issue_cov,
+        fig18_sm_scaling,
+        hash_table_size,
+        headline,
+        subcore_granularity,
+        work_stealing_study,
+        rba_banks,
+        rba_latency,
+    )
+    from . import sweep
+    from .engine import (
+        ExperimentEngine,
+        SimPoint,
+        configure,
+        get_engine,
+        point_key,
+    )
+    from .export import dump_json, load_json, result_to_dict, stats_to_dict
+    from .designs import DESIGNS, design_names, get_design
+    from .runner import (
+        cache_size,
+        clear_cache,
+        prefetch,
+        run_app,
+        run_kernel,
+        speedups_over_baseline,
+    )
+
+__all__ = lazy_package(
+    __name__,
+    {
+        "engine": [
+            "ExperimentEngine", "SimPoint", "configure", "get_engine", "point_key",
+        ],
+        "export": ["dump_json", "load_json", "result_to_dict", "stats_to_dict"],
+        "designs": ["DESIGNS", "design_names", "get_design"],
+        "runner": [
+            "cache_size", "clear_cache", "prefetch", "run_app", "run_kernel",
+            "speedups_over_baseline",
+        ],
+    },
+    submodules=(
+        "ablation_bank_mapping", "ablation_baseline_scheduler", "cu_validation",
+        "effect4_concurrent", "fig01_partitioning", "fig03_fma_imbalance",
+        "fig08_imbalance_scaling", "fig09_all_apps", "fig10_sensitive", "fig11_fc_rba",
+        "fig12_cu_scaling", "fig13_area_power", "fig14_rf_utilization",
+        "fig15_tpch_compressed", "fig16_tpch_uncompressed", "fig17_issue_cov",
+        "fig18_sm_scaling", "hash_table_size", "headline", "subcore_granularity",
+        "work_stealing_study", "rba_banks", "rba_latency", "sweep",
+    ),
+)

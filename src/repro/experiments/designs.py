@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from ..config import (
-    GPUConfig,
-    SchedulerPolicy,
+from ..config.gpu_config import GPUConfig, SchedulerPolicy
+from ..config.presets import (
     bank_stealing,
     fully_connected,
     rba,

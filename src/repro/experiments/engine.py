@@ -48,43 +48,38 @@ engine used by :mod:`repro.experiments.runner`.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+# A cache hit uses these leaf modules and nothing else of the package; the
+# simulator, the trace toolchain, the process pool and the opt-in telemetry
+# classes are imported where a miss (or the option) first needs them — see
+# docs/performance.md, "Start-up and the hit path".
 from .. import __version__ as _SIM_VERSION
-from ..chaos import trip as chaos_trip
-from ..config import GPUConfig
-from ..gpu import simulate
-from ..metrics import SimStats
-from ..obs import (
-    Heartbeat,
-    MetricsRegistry,
-    RunJournal,
-    RunManifest,
-    load_journal,
-    read_manifest,
-    stats_digest,
-)
-from ..trace.code_cache import drain_notes as drain_code_notes
-from ..workloads import (
-    PROFILE_VERSION,
-    compiled_code_key,
-    get_compiled_kernel,
-    get_profile,
-)
+from ..chaos.hooks import trip as chaos_trip
+from ..config.gpu_config import GPUConfig
+from ..metrics.stats import SimStats
+from ..obs.manifest import RunManifest, read_manifest, stats_digest
+from ..workloads.profiles import PROFILE_VERSION, AppProfile
+from ..workloads.registry import compiled_code_key, get_compiled_kernel, get_profile
 from .designs import get_design
+
+if TYPE_CHECKING:
+    import concurrent.futures
+
+    from ..obs.heartbeat import Heartbeat
+    from ..obs.journal import RunJournal
+    from ..obs.metrics import MetricsRegistry
 
 #: Bump when the cache-file layout (not the simulated results) changes.
 #: 2: SMStats payloads may carry ``stall_cycles`` (repro.obs).
@@ -236,6 +231,35 @@ def config_key_fields(config: GPUConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# The two large fragments of a point's key material, memoized by the frozen
+# dataclass *value* — never by design or app name, so a design whose factory
+# changes (or two names resolving to one config) can neither go stale nor
+# collide.  (Value equality is Python's: a design built with ``2.0`` where
+# another has ``2`` is the same configuration and shares its fragment.)
+# Bounded: a sweep meets a few dozen configs and 112 profiles.
+@lru_cache(maxsize=512)
+def _config_fragment(config: GPUConfig) -> str:
+    return _canonical_json(config_key_fields(config))
+
+
+@lru_cache(maxsize=512)
+def _profile_fragment(profile: AppProfile) -> str:
+    return _canonical_json(dataclasses.asdict(profile))
+
+
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` of the key
+#: payload with a slot per value, in sorted-key order.
+_KEY_BLOB = (
+    '{"collect_timeline":%s,"config":%s,"schema":%s,"sim_version":%s,"trace":%s,'
+    '"workload":{"app":%s,"profile":%s,"profile_version":%s}}'
+)
+
+
 def point_key(point: SimPoint, sanitize: bool = False, trace: bool = False) -> str:
     """Stable content hash identifying a point's simulation inputs.
 
@@ -251,22 +275,23 @@ def point_key(point: SimPoint, sanitize: bool = False, trace: bool = False) -> s
     same way: traced stats carry stall buckets a plain consumer must
     never see, and an explicit flag keeps the separation even if the
     resolved configs were ever to collide.
+
+    The hashed bytes are the payload's canonical JSON (sorted keys,
+    compact separators), assembled from :data:`_KEY_BLOB` around the
+    memoized config and profile fragments; ``tests/test_pinned_keys.py``
+    holds them to the one-``json.dumps`` derivation byte for byte.
     """
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "sim_version": _SIM_VERSION,
-        "config": config_key_fields(
-            resolved_config(point, sanitize=sanitize, trace=trace)
-        ),
-        "workload": {
-            "app": point.app,
-            "profile": dataclasses.asdict(get_profile(point.app)),
-            "profile_version": PROFILE_VERSION,
-        },
-        "collect_timeline": point.collect_timeline,
-        "trace": trace,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    scalar = _canonical_json
+    blob = _KEY_BLOB % (
+        scalar(point.collect_timeline),
+        _config_fragment(resolved_config(point, sanitize=sanitize, trace=trace)),
+        scalar(CACHE_SCHEMA),
+        scalar(_SIM_VERSION),
+        scalar(trace),
+        scalar(point.app),
+        _profile_fragment(get_profile(point.app)),
+        scalar(PROFILE_VERSION),
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -274,6 +299,22 @@ def trace_stem(point: SimPoint) -> str:
     """Filesystem-safe basename for a point's trace files."""
     tl = "-tl" if point.collect_timeline else ""
     return f"{point.app}--{point.design}--sms{point.num_sms}{tl}"
+
+
+def _load_simulator():
+    """Import what a simulation needs; returns ``(simulate, drain_code_notes)``.
+
+    The cycle-level model and the trace toolchain (synthesis, lowering,
+    code cache).  No cache hit uses any of it, so nothing imports it at
+    module level: a miss loads it here.  The pool path calls this in the
+    parent *before* it forks, so every worker inherits the loaded modules
+    instead of importing them again.
+    """
+    from ..gpu.gpu import simulate
+    from ..trace import code_cache, compiled  # noqa: F401
+    from ..workloads import synth  # noqa: F401
+
+    return simulate, code_cache.drain_notes
 
 
 def _simulate_point(
@@ -302,6 +343,7 @@ def _simulate_point(
     point's ``<stem>.trace.json`` / ``<stem>.events.jsonl`` files, so
     event streams never travel over the pool's result pipe.
     """
+    simulate, drain_code_notes = _load_simulator()
     point = SimPoint(*point_fields)
     chaos_trip("sim", point.label())
     config = get_design(point.design)
@@ -309,7 +351,7 @@ def _simulate_point(
         config = config.replace(sanitize=True)
     tracer = None
     if trace_dir is not None:
-        from ..obs import Tracer
+        from ..obs.tracer import Tracer
 
         config = config.replace(stall_attribution=True)
         tracer = Tracer(max_cycles=trace_cycles)
@@ -331,7 +373,7 @@ def _simulate_point(
     secs = time.perf_counter() - t0
     trace_path: Optional[str] = None
     if tracer is not None:
-        from ..obs import write_chrome_trace, write_events_jsonl
+        from ..obs.chrome_trace import write_chrome_trace, write_events_jsonl
 
         assert trace_dir is not None
         out = Path(trace_dir)
@@ -415,26 +457,28 @@ class ExperimentEngine:
         self.metrics = metrics
         #: Optional live-health heartbeat: a status.json rewritten
         #: atomically while batches run (``repro.obs.heartbeat``).
-        self.heartbeat: Optional[Heartbeat] = (
-            Heartbeat(str(status_path)) if status_path is not None else None
-        )
+        self.heartbeat: Optional[Heartbeat] = None
+        if status_path is not None:
+            from ..obs.heartbeat import Heartbeat
+
+            self.heartbeat = Heartbeat(str(status_path))
         #: Crash-safe run journal (``repro.obs.journal``): one atomically
         #: appended line per settled point.  Defaults to
         #: ``<trace_dir>/journal.jsonl`` when tracing, like the manifest.
         if journal_path is None and self.trace_dir is not None:
             journal_path = self.trace_dir / "journal.jsonl"
-        self.journal: Optional[RunJournal] = (
-            RunJournal(journal_path) if journal_path is not None else None
-        )
+        self.journal: Optional[RunJournal] = None
         #: ``--resume``: journaled ``key -> digest`` checkpoints from the
         #: interrupted run.  Disk hits matching a checkpoint count as
         #: resumed; mismatches warn (``journal_mismatch``) and re-simulate.
         self.resume = resume
-        self._resume_digests: Dict[str, str] = (
-            load_journal(self.journal.path)
-            if resume and self.journal is not None
-            else {}
-        )
+        self._resume_digests: Dict[str, str] = {}
+        if journal_path is not None:
+            from ..obs.journal import RunJournal, load_journal
+
+            self.journal = RunJournal(journal_path)
+            if resume:
+                self._resume_digests = load_journal(self.journal.path)
         #: Degradation-ladder state (see ``docs/robustness.md``): store
         #: failures feed the memory-only degrade, chunk failures feed the
         #: serial-fallback circuit breaker; both warn exactly once.
@@ -447,13 +491,20 @@ class ExperimentEngine:
         self._seen_code_notes: set = set()
         self.profile = EngineProfile()
         self._mem: Dict[str, SimStats] = {}
+        #: point -> key, for this engine's lifetime: a figure keys every
+        #: point at least twice (``prefetch``, then ``run_app``).
+        self._keys: Dict[SimPoint, str] = {}
 
     @property
     def trace(self) -> bool:
         return self.trace_dir is not None
 
     def _point_key(self, point: SimPoint) -> str:
-        return point_key(point, sanitize=self.sanitize, trace=self.trace)
+        key = self._keys.get(point)
+        if key is None:
+            key = point_key(point, sanitize=self.sanitize, trace=self.trace)
+            self._keys[point] = key
+        return key
 
     def _record(
         self,
@@ -587,6 +638,8 @@ class ExperimentEngine:
     def _store_disk(self, key: str, point: SimPoint, stats: SimStats) -> None:
         if not self.use_disk_cache or self._store_degraded:
             return
+        import tempfile
+
         doc = {
             "schema": CACHE_SCHEMA,
             "point": dataclasses.asdict(point),
@@ -876,6 +929,9 @@ class ExperimentEngine:
         return stats
 
     def _make_pool(self, n: int) -> concurrent.futures.ProcessPoolExecutor:
+        import concurrent.futures
+        import multiprocessing
+
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         return concurrent.futures.ProcessPoolExecutor(max_workers=n, mp_context=ctx)
@@ -946,6 +1002,9 @@ class ExperimentEngine:
         warns once (``circuit_open``) and later batches run serially.
         Every settled point is persisted and journaled on arrival.
         """
+        import concurrent.futures
+
+        _load_simulator()
         points = [p for p, _ in missing]
         keymap = {p: key for p, key in missing}
         plan_t0 = time.perf_counter()

@@ -13,7 +13,7 @@ import dataclasses
 import json
 from typing import Any
 
-from ..metrics import SimStats, SMStats
+from ..metrics.stats import SimStats, SMStats
 
 
 def _coerce(value: Any) -> Any:

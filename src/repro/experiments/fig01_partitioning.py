@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..workloads import app_names
+from ..workloads.registry import app_names
 from .report import speedup_table
 from .runner import speedups_over_baseline
 

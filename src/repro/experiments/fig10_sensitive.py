@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..workloads import SENSITIVE_APPS
+from ..workloads.registry import SENSITIVE_APPS
 from .report import average_speedups, speedup_table
 from .runner import speedups_over_baseline
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..workloads import RF_SENSITIVE_APPS
+from ..workloads.registry import RF_SENSITIVE_APPS
 from .report import speedup_table
 from .runner import speedups_over_baseline
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..workloads import SENSITIVE_APPS, get_profile
+from ..workloads.registry import SENSITIVE_APPS, get_profile
 from .report import average_speedups, speedup_table
 from .runner import speedups_over_baseline
 

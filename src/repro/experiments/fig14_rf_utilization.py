@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics import SimStats
+from ..metrics.stats import SimStats
 from .report import series_table
 from .runner import prefetch, run_app
 

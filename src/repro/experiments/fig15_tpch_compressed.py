@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..workloads import app_names
+from ..workloads.registry import app_names
 from .report import average_speedups, speedup_table
 from .runner import speedups_over_baseline
 

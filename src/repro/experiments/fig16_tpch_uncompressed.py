@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..workloads import app_names
+from ..workloads.registry import app_names
 from .fig15_tpch_compressed import DESIGNS, TpchResult
 from .report import speedup_table
 from .runner import speedups_over_baseline

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..workloads import app_names
+from ..workloads.registry import app_names
 from .report import series_table
 from .runner import prefetch, run_app
 

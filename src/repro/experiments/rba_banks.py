@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..workloads import RF_SENSITIVE_APPS
+from ..workloads.registry import RF_SENSITIVE_APPS
 from .report import speedup_table
 from .runner import prefetch, run_app
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..workloads import RF_SENSITIVE_APPS
+from ..workloads.registry import RF_SENSITIVE_APPS
 from .report import series_table
 from .runner import prefetch, run_app
 

@@ -15,13 +15,14 @@ whole point set to the engine first so misses simulate in parallel.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-from ..gpu import simulate
-from ..metrics import SimStats
-from ..trace import KernelTrace
+from ..metrics.stats import SimStats
 from .designs import get_design
 from .engine import SimPoint, get_engine
+
+if TYPE_CHECKING:
+    from ..trace.kernel_trace import KernelTrace
 
 
 def clear_cache() -> None:
@@ -71,6 +72,8 @@ def run_kernel(
     collect_timeline: bool = False,
 ) -> SimStats:
     """Simulate an ad-hoc kernel (microbenchmarks) — not cached."""
+    from ..gpu.gpu import simulate
+
     return simulate(
         kernel,
         get_design(design),

@@ -1,20 +1,20 @@
 """Simplified SASS-like instruction set used by warp traces."""
 
-from .instruction import Instruction, MemRef, bar, exit_, fadd, ffma, iadd, ldg, stg
-from .opcodes import MAX_SRC_OPERANDS, FuncUnit, Opcode, OpcodeInfo
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Instruction",
-    "MemRef",
-    "FuncUnit",
-    "Opcode",
-    "OpcodeInfo",
-    "MAX_SRC_OPERANDS",
-    "bar",
-    "exit_",
-    "fadd",
-    "ffma",
-    "iadd",
-    "ldg",
-    "stg",
-]
+from .._lazy import lazy_package
+
+if TYPE_CHECKING:
+    from .instruction import Instruction, MemRef, bar, exit_, fadd, ffma, iadd, ldg, stg
+    from .opcodes import MAX_SRC_OPERANDS, FuncUnit, Opcode, OpcodeInfo
+
+__all__ = lazy_package(
+    __name__,
+    {
+        "instruction": [
+            "Instruction", "MemRef", "bar", "exit_", "fadd", "ffma", "iadd", "ldg",
+            "stg",
+        ],
+        "opcodes": ["MAX_SRC_OPERANDS", "FuncUnit", "Opcode", "OpcodeInfo"],
+    },
+)

@@ -36,79 +36,76 @@ See ``docs/observability.md`` for the event schema, the taxonomy
 definitions, the exposition grammar, and how to open traces in Perfetto.
 """
 
-from .chrome_trace import (
-    chrome_trace,
-    dumps_chrome_trace,
-    iter_jsonl,
-    write_chrome_trace,
-    write_events_jsonl,
-)
-from .events import EVENT_FIELDS, EVENT_KINDS, validate_chrome_trace, validate_event
-from .heartbeat import STATUS_SCHEMA_VERSION, Heartbeat, read_status, validate_status
-from .journal import (
-    JOURNAL_SCHEMA_VERSION,
-    RunJournal,
-    load_journal,
-    validate_journal,
-    validate_journal_record,
-)
-from .manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    RunManifest,
-    read_manifest,
-    stats_digest,
-    validate_manifest,
-    validate_manifest_record,
-)
-from .metrics import (
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_prometheus_text,
-    record_stats_metrics,
-    validate_metrics_json,
-    validate_prometheus_text,
-)
-from .stall import STALL_BUCKETS, empty_buckets, merge_buckets
-from .tracer import Tracer
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Counter",
-    "EVENT_FIELDS",
-    "EVENT_KINDS",
-    "Gauge",
-    "Heartbeat",
-    "Histogram",
-    "JOURNAL_SCHEMA_VERSION",
-    "MANIFEST_SCHEMA_VERSION",
-    "METRICS_SCHEMA_VERSION",
-    "MetricsRegistry",
-    "RunJournal",
-    "RunManifest",
-    "STALL_BUCKETS",
-    "STATUS_SCHEMA_VERSION",
-    "Tracer",
-    "chrome_trace",
-    "dumps_chrome_trace",
-    "empty_buckets",
-    "iter_jsonl",
-    "load_journal",
-    "merge_buckets",
-    "parse_prometheus_text",
-    "read_manifest",
-    "read_status",
-    "record_stats_metrics",
-    "stats_digest",
-    "validate_chrome_trace",
-    "validate_event",
-    "validate_journal",
-    "validate_journal_record",
-    "validate_manifest",
-    "validate_manifest_record",
-    "validate_metrics_json",
-    "validate_prometheus_text",
-    "write_chrome_trace",
-    "write_events_jsonl",
-]
+from .._lazy import lazy_package
+
+if TYPE_CHECKING:
+    from .chrome_trace import (
+        chrome_trace,
+        dumps_chrome_trace,
+        iter_jsonl,
+        write_chrome_trace,
+        write_events_jsonl,
+    )
+    from .events import EVENT_FIELDS, EVENT_KINDS, validate_chrome_trace, validate_event
+    from .heartbeat import STATUS_SCHEMA_VERSION, Heartbeat, read_status, validate_status
+    from .journal import (
+        JOURNAL_SCHEMA_VERSION,
+        RunJournal,
+        load_journal,
+        validate_journal,
+        validate_journal_record,
+    )
+    from .manifest import (
+        MANIFEST_SCHEMA_VERSION,
+        RunManifest,
+        read_manifest,
+        stats_digest,
+        validate_manifest,
+        validate_manifest_record,
+    )
+    from .metrics import (
+        METRICS_SCHEMA_VERSION,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        parse_prometheus_text,
+        record_stats_metrics,
+        validate_metrics_json,
+        validate_prometheus_text,
+    )
+    from .stall import STALL_BUCKETS, empty_buckets, merge_buckets
+    from .tracer import Tracer
+
+__all__ = lazy_package(
+    __name__,
+    {
+        "chrome_trace": [
+            "chrome_trace", "dumps_chrome_trace", "iter_jsonl", "write_chrome_trace",
+            "write_events_jsonl",
+        ],
+        "events": [
+            "EVENT_FIELDS", "EVENT_KINDS", "validate_chrome_trace", "validate_event",
+        ],
+        "heartbeat": [
+            "STATUS_SCHEMA_VERSION", "Heartbeat", "read_status", "validate_status",
+        ],
+        "journal": [
+            "JOURNAL_SCHEMA_VERSION", "RunJournal", "load_journal", "validate_journal",
+            "validate_journal_record",
+        ],
+        "manifest": [
+            "MANIFEST_SCHEMA_VERSION", "RunManifest", "read_manifest", "stats_digest",
+            "validate_manifest", "validate_manifest_record",
+        ],
+        "metrics": [
+            "METRICS_SCHEMA_VERSION", "Counter", "Gauge", "Histogram",
+            "MetricsRegistry", "parse_prometheus_text", "record_stats_metrics",
+            "validate_metrics_json", "validate_prometheus_text",
+        ],
+        "stall": ["STALL_BUCKETS", "empty_buckets", "merge_buckets"],
+        "tracer": ["Tracer"],
+    },
+)

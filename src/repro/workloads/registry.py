@@ -12,14 +12,16 @@ from __future__ import annotations
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..trace import KernelTrace, code_key, compile_kernel, default_cache_dir
-from ..trace.code_cache import get_or_build
+# Profiles and names are all a cache hit reads from here; synthesis, lowering
+# and the code cache are imported by the functions that build a kernel.
 from .profiles import PROFILE_VERSION, AppProfile
 from .suites import all_suite_profiles
-from .synth import build_kernel
 from .tpch import all_tpch_profiles
+
+if TYPE_CHECKING:
+    from ..trace.kernel_trace import KernelTrace
 
 #: Number of applications the paper evaluates.
 EXPECTED_APP_COUNT = 112
@@ -110,6 +112,8 @@ def get_profile(name: str) -> AppProfile:
 
 def get_kernel(name: str) -> KernelTrace:
     """Synthesize the kernel trace of a registered application."""
+    from .synth import build_kernel
+
     return build_kernel(get_profile(name))
 
 
@@ -120,6 +124,8 @@ def compiled_code_key(name: str, mapping_name: str, num_banks: int) -> str:
     exposed so the experiment engine can cite it in run manifests without
     rebuilding the artifact.
     """
+    from ..trace.code_cache import code_key
+
     return code_key(PROFILE_VERSION, asdict(get_profile(name)), mapping_name, num_banks)
 
 
@@ -151,9 +157,12 @@ def get_compiled_kernel(
     if cached is not None:
         return cached, "memory"
 
-    profile = get_profile(name)
-    from ..regalloc import get_mapping
+    from ..regalloc.bank_mapping import get_mapping
+    from ..trace.code_cache import default_cache_dir, get_or_build
+    from ..trace.compiled import compile_kernel
+    from .synth import build_kernel
 
+    profile = get_profile(name)
     mapper = get_mapping(mapping_name)
     key = compiled_code_key(name, mapping_name, num_banks)
 

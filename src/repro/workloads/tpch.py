@@ -21,13 +21,14 @@ balancing gain, 30.8 %).
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
-from ..trace import KernelTrace
 from .profiles import AppProfile
-from .synth import build_kernel
+
+if TYPE_CHECKING:
+    from ..trace.kernel_trace import KernelTrace
 
 NUM_QUERIES = 22
 
@@ -89,6 +90,8 @@ def tpch_queries(compressed: bool) -> List[AppProfile]:
 
 
 def tpch_kernel(query: int, compressed: bool) -> KernelTrace:
+    from .synth import build_kernel
+
     return build_kernel(tpch_profile(query, compressed))
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, _parse_args, main
+from repro.__main__ import EXPERIMENTS, _parse_args, experiment_module, main
 
 
 @pytest.fixture
@@ -40,8 +40,15 @@ class TestCLI:
         assert "Fig. 13" in out
 
     def test_every_registered_name_is_callable(self):
-        for fn in EXPERIMENTS.values():
-            assert callable(fn)
+        for name in EXPERIMENTS:
+            assert callable(experiment_module(name).main), name
+
+    def test_list_beside_other_names_prints_help(self, capsys):
+        assert main(["list", "rba-banks"]) == 0
+        assert main(["rba-banks", "--workers", "1", "list"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("experiments:") == 2
+        assert "unknown" not in captured.err
 
 
 class TestObservabilityFlags:
