@@ -28,17 +28,13 @@ Caching is loss-free because simulation is bit-deterministic (warp
 scheduling never iterates hash-ordered sets — see ``SubCore.ready``) and
 :meth:`SimStats.to_payload` round-trips losslessly.
 
-Robustness is a verified *degradation ladder*, not ad-hoc handling (see
-``docs/robustness.md`` and :mod:`repro.chaos`, which injects every fault
-class and asserts byte-identical digests): results are persisted and
-journaled per point *as they settle* (:class:`~repro.obs.RunJournal`,
-enabling ``python -m repro --resume``); corrupted cache entries are
-quarantined, never served; :data:`STORE_ERROR_THRESHOLD` consecutive
-store errors degrade the disk cache to memory-only with one structured
-warning; :data:`CIRCUIT_THRESHOLD` consecutive pool chunk failures open
-a circuit breaker that falls back to serial in-process execution; and
-Ctrl-C/SIGTERM ends a batch with a flushed journal, a manifest warning
-and a final ``interrupted`` heartbeat instead of a torn run.
+Robustness is a verified *degradation ladder*, not ad-hoc handling:
+``docs/robustness.md`` lists every rung and :mod:`repro.chaos` injects
+every fault class and asserts byte-identical digests.  Results are
+persisted and journaled per point *as they settle*
+(:class:`~repro.obs.RunJournal`, enabling ``python -m repro --resume``);
+the disk cache is a :class:`~repro._store.ContentStore`, which owns the
+atomic-write / quarantine / memory-only rule.
 
 Observability: the engine keeps per-point wall times and hit/miss/retry
 counters (:class:`EngineProfile`); ``python -m repro --profile`` prints
@@ -66,6 +62,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 # classes are imported where a miss (or the option) first needs them — see
 # docs/performance.md, "Start-up and the hit path".
 from .. import __version__ as _SIM_VERSION
+from .._store import ContentStore
 from ..chaos.hooks import trip as chaos_trip
 from ..config.gpu_config import GPUConfig
 from ..metrics.stats import SimStats
@@ -90,11 +87,6 @@ CACHE_SCHEMA = 2
 DEFAULT_CACHE_DIR = Path(
     os.environ.get("REPRO_CACHE_DIR", "~/.cache/repro-sim")
 ).expanduser()
-
-#: Consecutive result-store ``OSError``s before the disk cache degrades
-#: to memory-only for the rest of the engine's lifetime (one structured
-#: ``cache_degraded`` warning instead of one error per point).
-STORE_ERROR_THRESHOLD = 3
 
 #: Consecutive failed pool chunks (crash or timeout) before the circuit
 #: breaker opens and later batches run serially in-process.
@@ -301,6 +293,17 @@ def trace_stem(point: SimPoint) -> str:
     return f"{point.app}--{point.design}--sms{point.num_sms}{tl}"
 
 
+def _decode_result(fh) -> SimStats:
+    """The result-cache codec's read half (see ``_store_disk`` for the write)."""
+    doc = json.load(fh)
+    if doc.get("schema") != CACHE_SCHEMA:
+        # CACHE_SCHEMA is part of the point key, so an entry *at this
+        # path* stamped with another generation is inconsistent, not
+        # merely old — a bad entry like any other corruption.
+        raise ValueError(f"schema {doc.get('schema')!r}")
+    return SimStats.from_payload(doc["stats"])
+
+
 def _load_simulator():
     """Import what a simulation needs; returns ``(simulate, drain_code_notes)``.
 
@@ -406,6 +409,27 @@ def _simulate_chunk(fields_list: Sequence[tuple], **kwargs) -> List[tuple]:
     return [_simulate_point(fields, **kwargs) for fields in fields_list]
 
 
+#: The engine's labelled counters: family -> (metric name, help, label).
+_COUNTERS = {
+    "point": (
+        "repro_engine_points_total",
+        "Point resolutions by source (cache tier or simulation).",
+        "source",
+    ),
+    "code": (
+        "repro_engine_code_total",
+        "Compiled-trace artifact events by source (compile or disk load).",
+        "source",
+    ),
+    "degradation": (
+        "repro_engine_degradations_total",
+        "Degradation-ladder events by step (cache_quarantine, "
+        "cache_degraded, circuit_open, interrupted, journal_mismatch).",
+        "step",
+    ),
+}
+
+
 class ExperimentEngine:
     """Executes simulation points with caching, fan-out and robustness."""
 
@@ -425,6 +449,10 @@ class ExperimentEngine:
         journal_path: Optional[os.PathLike] = None,
         resume: bool = False,
     ):
+        #: The arguments as given.  :func:`configure` rebuilds from these, so
+        #: a path *defaulted* from another option (the manifest and journal
+        #: under ``trace_dir``) is derived again, never read back as chosen.
+        self._options = {k: v for k, v in locals().items() if k != "self"}
         self.workers = max(1, int(workers))
         self.cache_dir = Path(cache_dir) if cache_dir is not None else DEFAULT_CACHE_DIR
         self.use_disk_cache = use_disk_cache
@@ -479,13 +507,17 @@ class ExperimentEngine:
             self.journal = RunJournal(journal_path)
             if resume:
                 self._resume_digests = load_journal(self.journal.path)
-        #: Degradation-ladder state (see ``docs/robustness.md``): store
-        #: failures feed the memory-only degrade, chunk failures feed the
-        #: serial-fallback circuit breaker; both warn exactly once.
-        self.store_error_threshold = STORE_ERROR_THRESHOLD
-        self.circuit_threshold = CIRCUIT_THRESHOLD
-        self._store_failures = 0
-        self._store_degraded = False
+        #: The on-disk result cache: ``<key>.json`` under the storage rule.
+        self._disk = ContentStore(
+            self.cache_dir,
+            suffix=".json",
+            site="result",
+            what="result-cache",
+            binary=False,
+            on_event=self._store_event,
+        )
+        #: Circuit-breaker state (see ``docs/robustness.md``): consecutive
+        #: chunk failures feed the serial fallback, which warns exactly once.
         self._pool_failures = 0
         self._circuit_open = False
         self._seen_code_notes: set = set()
@@ -516,7 +548,7 @@ class ExperimentEngine:
         worker: Optional[int] = None,
         trace: Optional[str] = None,
     ) -> None:
-        self._metric_point(source)
+        self._count("point", source)
         if self.manifest is None:
             return
         self.manifest.record(
@@ -531,9 +563,18 @@ class ExperimentEngine:
 
     def _warn(self, kind: str, detail: str, point: Optional[str] = None) -> None:
         """One degradation-ladder step: manifest warning + metrics counter."""
-        self._metric_degradation(kind)
+        self._count("degradation", kind)
         if self.manifest is not None:
             self.manifest.warn(kind, detail, point=point)
+
+    def _store_event(self, kind: str, detail: str) -> None:
+        """What the result cache reports: count it, warn on a ladder step."""
+        if kind == "cache_error":
+            self.profile.disk_errors += 1
+            return
+        if kind == "cache_quarantine":
+            self.profile.quarantines += 1
+        self._warn(kind, detail)
 
     def _settle(self, point: SimPoint, key: str, stats: SimStats) -> None:
         """Persist one freshly simulated point the moment it arrives.
@@ -567,128 +608,21 @@ class ExperimentEngine:
         self._mem.clear()
 
     def cache_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+        return self._disk.path(key)
 
     def _load_disk(self, key: str) -> Optional[SimStats]:
         if not self.use_disk_cache:
             return None
-        path = self.cache_path(key)
-        chaos_trip("result_read", key, path=str(path))
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.profile.disk_errors += 1
-            return None
-        with fh:
-            try:
-                doc = json.load(fh)
-                if doc.get("schema") != CACHE_SCHEMA:
-                    # CACHE_SCHEMA is part of the point key, so an entry
-                    # *at this path* stamped with another generation is
-                    # inconsistent, not merely old — quarantine it like
-                    # any other corruption and recompute.
-                    raise ValueError(f"schema {doc.get('schema')!r}")
-                return SimStats.from_payload(doc["stats"])
-            except (OSError, ValueError, KeyError, TypeError):
-                # Corrupted or truncated entry: quarantine it and
-                # re-simulate — but only the exact file we read.  On a
-                # shared cache directory a parallel _store_disk may have
-                # os.replace()d a fresh, valid entry over this path
-                # between our read and the move; a blind unlink/rename
-                # would silently discard that result.  Comparing the open
-                # handle's identity with the path's current identity
-                # confines the quarantine to the corrupted file.
-                self.profile.disk_errors += 1
-                if self._quarantine_exact(
-                    path, fh, self.cache_dir / "quarantine"
-                ):
-                    self.profile.quarantines += 1
-                    self._warn(
-                        "cache_quarantine",
-                        f"corrupted result-cache entry {path.name} moved "
-                        "to quarantine/; point will re-simulate",
-                    )
-                return None
-
-    @staticmethod
-    def _quarantine_exact(path: Path, fh, quarantine_dir: Path) -> bool:
-        """Move ``path`` aside only while it still names the file open as ``fh``.
-
-        The corrupted entry is preserved under ``quarantine_dir`` for
-        post-mortems instead of being destroyed; when even that fails
-        (read-only directory) it falls back to a guarded unlink.  Returns
-        True when the bad file no longer occupies the cache path.
-        """
-        try:
-            opened = os.fstat(fh.fileno())
-            current = os.stat(path)
-            if (opened.st_dev, opened.st_ino) != (current.st_dev, current.st_ino):
-                return False
-            try:
-                quarantine_dir.mkdir(parents=True, exist_ok=True)
-                os.replace(path, quarantine_dir / path.name)
-            except OSError:
-                os.unlink(path)
-            return True
-        except OSError:
-            return False
+        return self._disk.load(key, _decode_result)
 
     def _store_disk(self, key: str, point: SimPoint, stats: SimStats) -> None:
-        if not self.use_disk_cache or self._store_degraded:
-            return
-        import tempfile
+        def encode(fh) -> None:
+            fields = dataclasses.asdict(point)
+            doc = {"schema": CACHE_SCHEMA, "point": fields, "stats": stats.to_payload()}
+            json.dump(doc, fh, sort_keys=True)
 
-        doc = {
-            "schema": CACHE_SCHEMA,
-            "point": dataclasses.asdict(point),
-            "stats": stats.to_payload(),
-        }
-        try:
-            chaos_trip("result_store", key)
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.cache_dir, prefix=f".{key[:16]}.", suffix=".tmp"
-            )
-        except OSError:
-            # A read-only or full cache directory must never fail a run.
-            self._store_failed()
-            return
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
-            os.replace(tmp, self.cache_path(key))
-        except OSError:
-            # Serialization or the atomic rename failed (disk full,
-            # permissions flipped, the final path is a directory, ...):
-            # count it and remove the orphaned temp file — mkstemp names
-            # are unique per call, so leaked ``.tmp`` files would pile up
-            # in a long-lived shared cache directory forever.
-            self._store_failed()
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        self._store_failures = 0
-        chaos_trip("result_write", key, path=str(self.cache_path(key)))
-
-    def _store_failed(self) -> None:
-        """One store ``OSError``: count it, degrade to memory-only at N."""
-        self.profile.disk_errors += 1
-        self._store_failures += 1
-        if (
-            self._store_failures >= self.store_error_threshold
-            and not self._store_degraded
-        ):
-            self._store_degraded = True
-            self._warn(
-                "cache_degraded",
-                f"{self._store_failures} consecutive result-store errors "
-                f"({self.cache_dir}); disk cache is now memory-only for "
-                "this engine",
-            )
+        if self.use_disk_cache:
+            self._disk.store(key, encode)
 
     # -- execution ---------------------------------------------------------
 
@@ -714,23 +648,32 @@ class ExperimentEngine:
         )
         return False
 
-    def run_point(self, point: SimPoint) -> SimStats:
-        """Resolve one point (memory cache → disk cache → simulate)."""
+    def _lookup(self, point: SimPoint) -> Tuple[str, Optional[SimStats]]:
+        """A point's key and its cached stats (memory, then disk), or None.
+
+        Counts the hit or miss and records a hit in the manifest; a disk
+        hit is promoted to the memory cache.
+        """
         key = self._point_key(point)
         hit = self._mem.get(key)
         if hit is not None:
             self.profile.mem_hits += 1
             self._record(point, key, "memory", hit)
-            return hit
+            return key, hit
         stats = self._load_disk(key)
         if stats is not None and self._resume_ok(point, key, stats):
             self.profile.disk_hits += 1
             self._mem[key] = stats
             self._record(point, key, "disk", stats)
-            return stats
+            return key, stats
         self.profile.misses += 1
-        stats = self._simulate_serial(point)
-        self._settle(point, key, stats)
+        return key, None
+
+    def run_point(self, point: SimPoint) -> SimStats:
+        """Resolve one point (memory cache → disk cache → simulate)."""
+        key, stats = self._lookup(point)
+        if stats is None:
+            stats = self._run_serial([(point, key)], "sim")[point]
         return stats
 
     def run_many(self, points: Iterable[SimPoint]) -> Dict[SimPoint, SimStats]:
@@ -738,12 +681,7 @@ class ExperimentEngine:
 
         Returns a dict covering every *distinct* point in ``points``.
         """
-        ordered: List[SimPoint] = []
-        seen = set()
-        for p in points:
-            if p not in seen:
-                seen.add(p)
-                ordered.append(p)
+        ordered = list(dict.fromkeys(points))
 
         batch_t0 = time.perf_counter()
         hb = self.heartbeat
@@ -754,23 +692,11 @@ class ExperimentEngine:
         missing: List[Tuple[SimPoint, str]] = []
         scan_t0 = time.perf_counter()
         for p in ordered:
-            key = self._point_key(p)
-            hit = self._mem.get(key)
-            if hit is not None:
-                self.profile.mem_hits += 1
-                self._record(p, key, "memory", hit)
-                results[p] = hit
-            else:
-                stats = self._load_disk(key)
-                if stats is not None and self._resume_ok(p, key, stats):
-                    self.profile.disk_hits += 1
-                    self._mem[key] = stats
-                    self._record(p, key, "disk", stats)
-                    results[p] = stats
-                else:
-                    self.profile.misses += 1
-                    missing.append((p, key))
-                    continue
+            key, stats = self._lookup(p)
+            if stats is None:
+                missing.append((p, key))
+                continue
+            results[p] = stats
             if hb is not None:
                 hb.advance(done=1)
         self._metric_phase("cache-load", time.perf_counter() - scan_t0)
@@ -786,13 +712,9 @@ class ExperimentEngine:
                 if use_pool:
                     simulated = self._run_pool(missing)
                 else:
-                    simulated = {}
-                    for p, key in missing:
-                        stats = self._simulate_serial(p)
-                        self._settle(p, key, stats)
-                        simulated[p] = stats
-                        if hb is not None:
-                            hb.advance(done=1)
+                    simulated = self._run_serial(missing, "sim")
+                # Hits first, then misses in request order — never the
+                # pool's completion order.
                 for p, _ in missing:
                     results[p] = simulated[p]
             except KeyboardInterrupt:
@@ -879,7 +801,7 @@ class ExperimentEngine:
         """
         if code_source == "memory":
             return
-        self._metric_code(code_source)
+        self._count("code", code_source)
         if code_source == "compile":
             self.profile.code_compiles += 1
         elif code_source == "disk":
@@ -908,25 +830,39 @@ class ExperimentEngine:
             self._seen_code_notes.add((kind, detail))
             self._warn(kind, detail)
 
-    def _simulate_serial(self, point: SimPoint, source: str = "sim") -> SimStats:
-        _, payload, secs, worker, trace_path, code_source, notes = _simulate_point(
-            dataclasses.astuple(point), **self._sim_kwargs()
-        )
+    def _absorb(
+        self, point: SimPoint, key: str, result: tuple, source: str
+    ) -> SimStats:
+        """Take one ``_simulate_point`` result into the engine, then settle it.
+
+        Worker notes, code accounting, profile, manifest record — then
+        :meth:`_settle`, so nothing is journaled before it is recorded.
+        """
+        _, payload, secs, worker, trace_path, code_source, notes = result
         self._code_notes(notes)
         self._note_code(point, code_source, worker)
         self.profile.note_sim(point.label(), secs, worker)
-        self._metric_phase("retry" if source == "retry" else "simulate", secs)
         stats = SimStats.from_payload(payload)
         self._record(
-            point,
-            self._point_key(point),
-            source,
-            stats,
-            seconds=secs,
-            worker=worker,
-            trace=trace_path,
+            point, key, source, stats, seconds=secs, worker=worker, trace=trace_path
         )
+        self._settle(point, key, stats)
         return stats
+
+    def _run_serial(
+        self, missing: Sequence[Tuple[SimPoint, str]], source: str
+    ) -> Dict[SimPoint, SimStats]:
+        """Simulate ``(point, key)`` pairs in this process, settling each."""
+        done: Dict[SimPoint, SimStats] = {}
+        kwargs = self._sim_kwargs()
+        phase = "retry" if source == "retry" else "simulate"
+        for point, key in missing:
+            result = _simulate_point(dataclasses.astuple(point), **kwargs)
+            self._metric_phase(phase, result[2])
+            done[point] = self._absorb(point, key, result, source)
+            if self.heartbeat is not None:
+                self.heartbeat.advance(done=1)
+        return done
 
     def _make_pool(self, n: int) -> concurrent.futures.ProcessPoolExecutor:
         import concurrent.futures
@@ -1005,8 +941,7 @@ class ExperimentEngine:
         import concurrent.futures
 
         _load_simulator()
-        points = [p for p, _ in missing]
-        keymap = {p: key for p, key in missing}
+        keymap = dict(missing)
         plan_t0 = time.perf_counter()
         chunks = self._plan_chunks(missing)
         self._metric_phase("plan", time.perf_counter() - plan_t0)
@@ -1014,19 +949,13 @@ class ExperimentEngine:
         try:
             pool = self._make_pool(len(chunks))
         except (OSError, ValueError):
-            self._pool_failures = self.circuit_threshold
+            self._pool_failures = CIRCUIT_THRESHOLD
             self._open_circuit("worker pool could not be created")
-            done: Dict[SimPoint, SimStats] = {}
-            for p in points:
-                done[p] = self._simulate_serial(p)
-                self._settle(p, keymap[p], done[p])
-                if hb is not None:
-                    hb.advance(done=1)
-            return done
+            return self._run_serial(missing, "sim")
 
-        done = {}
+        done: Dict[SimPoint, SimStats] = {}
         failed: List[SimPoint] = []
-        total = len(points)
+        total = len(missing)
         try:
             pending: Dict[concurrent.futures.Future, int] = {}
             submitted = time.perf_counter()
@@ -1095,44 +1024,15 @@ class ExperimentEngine:
                         # once in-parent, where a real simulation error
                         # surfaces undisturbed.
                         failed.extend(chunk)
-                        self._chunk_failed()
-                        if self.manifest is not None:
-                            self.manifest.warn(
-                                "chunk_crash",
-                                f"chunk {i} ({chunk[0].app}, "
-                                f"{len(chunk)} points) raised in a worker; "
-                                "retrying in parent",
-                                point=f"chunk:{chunk[0].app}",
-                            )
+                        self._chunk_failed(
+                            "chunk_crash", i, chunk, "raised in a worker"
+                        )
                     else:
                         elapsed = now - submitted
                         self._metric_phase("simulate", elapsed)
                         self._pool_failures = 0
                         for p, res in zip(chunk, results):
-                            (
-                                _,
-                                payload,
-                                secs,
-                                worker,
-                                trace_path,
-                                code_source,
-                                notes,
-                            ) = res
-                            self._code_notes(notes)
-                            self._note_code(p, code_source, worker)
-                            self.profile.note_sim(p.label(), secs, worker)
-                            stats = SimStats.from_payload(payload)
-                            self._record(
-                                p,
-                                keymap[p],
-                                "sim",
-                                stats,
-                                seconds=secs,
-                                worker=worker,
-                                trace=trace_path,
-                            )
-                            self._settle(p, keymap[p], stats)
-                            done[p] = stats
+                            done[p] = self._absorb(p, keymap[p], res, "sim")
                         if hb is not None:
                             hb.advance(done=len(chunk))
                     if hb is not None:
@@ -1151,16 +1051,10 @@ class ExperimentEngine:
                     fut.cancel()
                     chunk = chunks[i]
                     failed.extend(chunk)
-                    self._chunk_failed()
-                    if self.manifest is not None:
-                        self.manifest.warn(
-                            "chunk_timeout",
-                            f"chunk {i} ({chunk[0].app}, {len(chunk)} "
-                            f"points) exceeded its "
-                            f"{self.timeout * len(chunk):.3g}s budget; "
-                            "retrying in parent",
-                            point=f"chunk:{chunk[0].app}",
-                        )
+                    budget = self.timeout * len(chunk)
+                    self._chunk_failed(
+                        "chunk_timeout", i, chunk, f"exceeded its {budget:.3g}s budget"
+                    )
                     self._progress_line(len(done) + len(failed), total)
                 if hb is not None:
                     hb.stale_workers()
@@ -1169,24 +1063,23 @@ class ExperimentEngine:
             pool.shutdown(wait=False, cancel_futures=True)
             self._progress_end()
 
-        for p in failed:
-            self.profile.retries += 1
-            stats = self._simulate_serial(p, source="retry")
-            self._settle(p, keymap[p], stats)
-            done[p] = stats
-            if hb is not None:
-                hb.advance(done=1)
+        self.profile.retries += len(failed)
+        done.update(self._run_serial([(p, keymap[p]) for p in failed], "retry"))
         return done
 
-    def _chunk_failed(self) -> None:
-        """One failed pool chunk: count it, open the circuit breaker at N."""
+    def _chunk_failed(
+        self, kind: str, i: int, chunk: Sequence[SimPoint], what: str
+    ) -> None:
+        """One failed pool chunk: count it (circuit breaker at N), say why."""
         self._pool_failures += 1
-        if (
-            self._pool_failures >= self.circuit_threshold
-            and not self._circuit_open
-        ):
-            self._open_circuit(
-                f"{self._pool_failures} consecutive pool chunk failures"
+        if self._pool_failures >= CIRCUIT_THRESHOLD:
+            self._open_circuit(f"{self._pool_failures} consecutive pool chunk failures")
+        if self.manifest is not None:
+            self.manifest.warn(
+                kind,
+                f"chunk {i} ({chunk[0].app}, {len(chunk)} points) {what}; "
+                "retrying in parent",
+                point=f"chunk:{chunk[0].app}",
             )
 
     def _open_circuit(self, why: str) -> None:
@@ -1200,35 +1093,12 @@ class ExperimentEngine:
 
     # -- observability -------------------------------------------------------
 
-    def _metric_point(self, source: str) -> None:
-        """Count one point resolution by source (memory/disk/sim/retry)."""
+    def _count(self, family: str, value: str) -> None:
+        """Increment one of the engine's labelled counters (:data:`_COUNTERS`)."""
         if self.metrics is None:
             return
-        self.metrics.counter(
-            "repro_engine_points_total",
-            "Point resolutions by source (cache tier or simulation).",
-            ("source",),
-        ).labels(source=source).inc()
-
-    def _metric_code(self, source: str) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "repro_engine_code_total",
-            "Compiled-trace artifact events by source (compile or disk load).",
-            ("source",),
-        ).labels(source=source).inc()
-
-    def _metric_degradation(self, step: str) -> None:
-        """Count one degradation-ladder event by step (quarantine, ...)."""
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "repro_engine_degradations_total",
-            "Degradation-ladder events by step (cache_quarantine, "
-            "cache_degraded, circuit_open, interrupted, journal_mismatch).",
-            ("step",),
-        ).labels(step=step).inc()
+        name, help_text, label = _COUNTERS[family]
+        self.metrics.counter(name, help_text, (label,)).labels(**{label: value}).inc()
 
     def _metric_phase(self, phase: str, secs: float) -> None:
         """Observe one engine phase span (plan/cache-load/simulate/retry)."""
@@ -1294,56 +1164,16 @@ def get_engine() -> ExperimentEngine:
     return _engine
 
 
-def configure(
-    workers: Optional[int] = None,
-    cache_dir: Optional[os.PathLike] = None,
-    use_disk_cache: Optional[bool] = None,
-    timeout: Optional[float] = None,
-    progress: Optional[bool] = None,
-    sanitize: Optional[bool] = None,
-    trace_dir: Optional[os.PathLike] = None,
-    trace_cycles: Optional[int] = None,
-    manifest_path: Optional[os.PathLike] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    status_path: Optional[os.PathLike] = None,
-    journal_path: Optional[os.PathLike] = None,
-    resume: Optional[bool] = None,
-) -> ExperimentEngine:
+def configure(**options) -> ExperimentEngine:
     """Replace the process-wide engine; unspecified knobs keep their values.
 
-    The memory cache starts empty on the new engine; the disk cache is
-    shared through the filesystem, so previously stored results remain
-    visible (keys are content-addressed and engine-independent).
+    Takes :class:`ExperimentEngine`'s keywords; ``None`` keeps what the
+    current engine was constructed with.  The memory cache starts empty on
+    the new engine; the disk cache is shared through the filesystem, so
+    previously stored results remain visible (keys are content-addressed
+    and engine-independent).
     """
     global _engine
-    old = _engine
-    _engine = ExperimentEngine(
-        workers=old.workers if workers is None else workers,
-        cache_dir=old.cache_dir if cache_dir is None else cache_dir,
-        use_disk_cache=(
-            old.use_disk_cache if use_disk_cache is None else use_disk_cache
-        ),
-        timeout=old.timeout if timeout is None else timeout,
-        progress=old.progress if progress is None else progress,
-        sanitize=old.sanitize if sanitize is None else sanitize,
-        trace_dir=old.trace_dir if trace_dir is None else trace_dir,
-        trace_cycles=old.trace_cycles if trace_cycles is None else trace_cycles,
-        manifest_path=(
-            (old.manifest.path if old.manifest is not None else None)
-            if manifest_path is None
-            else manifest_path
-        ),
-        metrics=old.metrics if metrics is None else metrics,
-        status_path=(
-            (old.heartbeat.path if old.heartbeat is not None else None)
-            if status_path is None
-            else status_path
-        ),
-        journal_path=(
-            (old.journal.path if old.journal is not None else None)
-            if journal_path is None
-            else journal_path
-        ),
-        resume=old.resume if resume is None else resume,
-    )
+    given = {name: value for name, value in options.items() if value is not None}
+    _engine = ExperimentEngine(**{**_engine._options, **given})
     return _engine

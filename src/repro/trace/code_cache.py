@@ -19,18 +19,13 @@ addressed again — invalidation by construction, same discipline as the
 experiment engine's result cache.
 
 Location: ``$REPRO_TRACE_CACHE_DIR`` when set, else
-``~/.cache/repro-sim/trace-code``.  Writers stage through a temp file and
-``os.replace`` so concurrent engine workers never observe torn entries.
-
-Failure handling follows the engine's degradation ladder
-(``docs/robustness.md``): unreadable or version-skewed entries are
-treated as misses and *quarantined* (moved into a ``quarantine/``
-subdirectory under an inode guard, so a concurrent valid rewrite is
-never discarded), and :data:`STORE_ERROR_THRESHOLD` consecutive store
-``OSError``s degrade this process to memory-only compilation.  Both
-events append ``(kind, detail)`` pairs to a per-process notes queue;
-engine workers drain it (:func:`drain_notes`) and ship the notes to the
-parent, which deduplicates them into structured manifest warnings.
+``~/.cache/repro-sim/trace-code``.  Each directory is a
+:class:`~repro._store.ContentStore`, which owns the atomic-write /
+quarantine / memory-only rule (``docs/robustness.md``); this module adds
+the pickle codec and a per-process notes queue: quarantine and degrade
+events append ``(kind, detail)`` pairs, engine workers drain them
+(:func:`drain_notes`) and ship them to the parent, which deduplicates
+them into structured manifest warnings.
 
 This module deliberately knows nothing about :mod:`repro.workloads` (which
 imports :mod:`repro.trace`); callers pass the key material and a builder.
@@ -42,11 +37,10 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..chaos import trip as chaos_trip
+from .._store import ContentStore
 
 #: Schema version of the compiled-trace artifact.  Bump whenever
 #: :class:`~repro.trace.compiled.CompiledWarp`'s layout or the pickled
@@ -56,14 +50,11 @@ CODE_VERSION = 1
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_TRACE_CACHE_DIR"
 
-#: Consecutive store ``OSError``s before this process stops writing the
-#: trace-code cache (memory-only compilation; one note, not one per app).
-STORE_ERROR_THRESHOLD = 3
-
 _MAGIC = "repro-code"
 
-#: Per-process degradation state for the store path.
-_STORE_STATE = {"failures": 0, "disabled": False}
+#: This process's stores, one per cache directory it has touched.  A store
+#: degrades to memory-only for the life of the process.
+_STORES: Dict[Path, ContentStore] = {}
 
 #: Per-process queue of ``(kind, detail)`` degradation events.  Kinds
 #: reuse the manifest warning vocabulary (``cache_quarantine``,
@@ -80,8 +71,7 @@ def drain_notes() -> List[Tuple[str, str]]:
 
 def reset_degradation() -> None:
     """Re-arm the store path and drop pending notes (tests, new runs)."""
-    _STORE_STATE["failures"] = 0
-    _STORE_STATE["disabled"] = False
+    _STORES.clear()
     _NOTES.clear()
 
 
@@ -113,8 +103,37 @@ def code_key(
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def _entry_path(cache_dir: Path, key: str) -> Path:
-    return cache_dir / f"{key}.code.pkl"
+def _note(kind: str, detail: str) -> None:
+    # Single read/store errors stay silent here, as recompilation hides
+    # them; the ladder steps are what the parent's manifest should hear.
+    if kind != "cache_error":
+        _NOTES.append((kind, detail))
+
+
+def _store(cache_dir: Path) -> ContentStore:
+    store = _STORES.get(cache_dir)
+    if store is None:
+        store = _STORES[cache_dir] = ContentStore(
+            cache_dir,
+            suffix=".code.pkl",
+            site="code",
+            what="trace-code",
+            binary=True,
+            on_event=_note,
+        )
+    return store
+
+
+def _decode(fh) -> Any:
+    envelope = pickle.load(fh)
+    if (
+        not isinstance(envelope, tuple)
+        or len(envelope) != 3
+        or envelope[0] != _MAGIC
+        or envelope[1] != CODE_VERSION
+    ):
+        raise ValueError("wrong cache generation")
+    return envelope[2]
 
 
 def load_compiled(cache_dir: Path, key: str) -> Optional[Any]:
@@ -124,70 +143,20 @@ def load_compiled(cache_dir: Path, key: str) -> Optional[Any]:
     :data:`CODE_VERSION`) are quarantined — moved aside, never served,
     never silently deleted — and the artifact recompiles.
     """
-    path = _entry_path(cache_dir, key)
-    chaos_trip("code_read", key, path=str(path))
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return None
-    with fh:
-        try:
-            envelope = pickle.load(fh)
-        except Exception:
-            _quarantine(path, fh, "unreadable pickle")
-            return None
-        if (
-            not isinstance(envelope, tuple)
-            or len(envelope) != 3
-            or envelope[0] != _MAGIC
-            or envelope[1] != CODE_VERSION
-        ):
-            _quarantine(path, fh, "wrong cache generation")
-            return None
-    return envelope[2]
+    return _store(cache_dir).load(key, _decode)
 
 
 def store_compiled(cache_dir: Path, key: str, artifact: Any) -> None:
     """Atomically persist ``artifact`` under ``key`` (best-effort).
 
-    After :data:`STORE_ERROR_THRESHOLD` consecutive ``OSError``s the
-    store path disables itself for this process (memory-only) and queues
-    a single ``cache_degraded`` note instead of erroring per artifact.
+    A read-only or full cache directory degrades to recompilation, never
+    to failure: after ``STORE_ERROR_THRESHOLD`` consecutive ``OSError``s
+    the store goes memory-only for this process and queues a single
+    ``cache_degraded`` note instead of erroring per artifact.
     """
-    if _STORE_STATE["disabled"]:
-        return
-    path = _entry_path(cache_dir, key)
-    try:
-        chaos_trip("code_store", key)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump((_MAGIC, CODE_VERSION, artifact), fh, protocol=4)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        # A read-only or full cache dir degrades to recompilation, never
-        # to failure.
-        _STORE_STATE["failures"] += 1
-        if _STORE_STATE["failures"] >= STORE_ERROR_THRESHOLD:
-            _STORE_STATE["disabled"] = True
-            _NOTES.append(
-                (
-                    "cache_degraded",
-                    f"{_STORE_STATE['failures']} consecutive trace-code "
-                    f"store errors ({cache_dir}); compiled traces are now "
-                    "memory-only in this process",
-                )
-            )
-        return
-    _STORE_STATE["failures"] = 0
-    chaos_trip("code_write", key, path=str(path))
+    _store(cache_dir).store(
+        key, lambda fh: pickle.dump((_MAGIC, CODE_VERSION, artifact), fh, protocol=4)
+    )
 
 
 def get_or_build(
@@ -209,34 +178,3 @@ def get_or_build(
     if cache_dir is not None:
         store_compiled(cache_dir, key, artifact)
     return artifact, "compile"
-
-
-def _quarantine(path: Path, fh, why: str) -> None:
-    """Move the corrupted entry aside, guarded by file identity.
-
-    The unlink/rename happens only while ``path`` still names the file
-    open as ``fh`` — a concurrent ``store_compiled`` may have already
-    replaced the corrupted entry with a fresh one, which must survive.
-    The bad file is preserved under ``quarantine/`` for post-mortems;
-    a read-only directory falls back to a guarded unlink attempt.
-    """
-    try:
-        opened = os.fstat(fh.fileno())
-        current = os.stat(path)
-        if (opened.st_dev, opened.st_ino) != (current.st_dev, current.st_ino):
-            return
-        quarantine_dir = path.parent / "quarantine"
-        try:
-            quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine_dir / path.name)
-        except OSError:
-            os.unlink(path)
-    except OSError:
-        return
-    _NOTES.append(
-        (
-            "cache_quarantine",
-            f"corrupted trace-code entry {path.name} quarantined ({why}); "
-            "artifact will recompile",
-        )
-    )

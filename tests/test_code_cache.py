@@ -141,7 +141,7 @@ class TestCorruptionQuarantine:
         assert quarantined.read_bytes() == data[: len(data) // 2]
         notes = code_cache.drain_notes()
         assert [kind for kind, _ in notes] == ["cache_quarantine"]
-        assert "unreadable pickle" in notes[0][1]
+        assert entry.name in notes[0][1]
         # The recompile re-stored a valid entry: next fresh process hits disk.
         registry._COMPILED_MEMO.clear()
         _, src2 = get_compiled_kernel(APP, *LAYOUT, cache_dir=tmp_path)
@@ -163,37 +163,29 @@ class TestCorruptionQuarantine:
         notes = code_cache.drain_notes()
         assert notes and "wrong cache generation" in notes[0][1]
 
-    def test_quarantine_spares_a_concurrent_replacement(self, tmp_path):
-        import os
+    def test_envelope_written_by_the_parent_commit_is_a_hit(self, tmp_path):
+        import pickle
 
         from repro.trace import code_cache
 
-        entry = tmp_path / "x.code.pkl"
-        entry.write_bytes(b"corrupt")
-        fh = open(entry, "rb")
-        try:
-            replacement = tmp_path / "fresh.tmp"
-            replacement.write_bytes(b"valid replacement")
-            os.replace(replacement, entry)
-            code_cache._quarantine(entry, fh, "test")
-        finally:
-            fh.close()
-        # The replacement written while the corrupt file was open survives.
-        assert entry.read_bytes() == b"valid replacement"
-        assert not (tmp_path / "quarantine").exists()
+        # The bytes PR 12's store_compiled wrote, under its file name.
+        envelope = ("repro-code", code_cache.CODE_VERSION, {"warps": [1, 2]})
+        (tmp_path / "k.code.pkl").write_bytes(pickle.dumps(envelope, protocol=4))
+        assert code_cache.load_compiled(tmp_path, "k") == {"warps": [1, 2]}
+        assert code_cache.get_or_build(tmp_path, "k", dict) == ({"warps": [1, 2]}, "disk")
         assert code_cache.drain_notes() == []
 
     def test_store_io_errors_degrade_to_memory_once(self, tmp_path, monkeypatch):
+        from repro import _store
         from repro.chaos import clear_plan, install_plan, single_fault_plan
         from repro.trace import code_cache
 
-        monkeypatch.setattr(code_cache, "STORE_ERROR_THRESHOLD", 1)
+        monkeypatch.setattr(_store, "STORE_ERROR_THRESHOLD", 1)
         install_plan(single_fault_plan("io_error", "code_store", times=0))
         code_cache.store_compiled(tmp_path, "k1", {"a": 1})
         code_cache.store_compiled(tmp_path, "k2", {"a": 2})
         notes = code_cache.drain_notes()
         assert [kind for kind, _ in notes] == ["cache_degraded"]
-        assert code_cache._STORE_STATE["disabled"]
         assert list(tmp_path.iterdir()) == []
         # reset_degradation re-arms the store path.
         clear_plan()

@@ -9,6 +9,8 @@ experiment performs zero simulations).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.engine as eng
+from repro import _store
 from repro.experiments import fig01_partitioning
 from repro.experiments.engine import (
     ExperimentEngine,
@@ -42,6 +45,26 @@ def serial_engine(tmp_path=None, **kw) -> ExperimentEngine:
         kw.setdefault("use_disk_cache", False)
         return ExperimentEngine(workers=1, **kw)
     return ExperimentEngine(workers=1, cache_dir=tmp_path, **kw)
+
+
+@functools.lru_cache(maxsize=None)
+def reference():
+    """POINT's stats from an engine with no disk cache to go wrong."""
+    return serial_engine().run_point(POINT)
+
+
+def parent_entry(schema: int = 2) -> str:
+    """POINT's result entry as PR 12's ``_store_disk`` wrote it."""
+    doc = {
+        "schema": schema,
+        "point": dataclasses.asdict(POINT),
+        "stats": reference().to_payload(),
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def manifest_warnings(manifest) -> list:
+    return [r["kind"] for r in read_manifest(manifest) if r["source"] == "warning"]
 
 
 class TestCacheKey:
@@ -123,44 +146,45 @@ class TestDiskCache:
         tl = cached.sms[0].rf_read_timeline
         assert tl and all(isinstance(entry, tuple) for entry in tl)
 
-    def test_corrupted_cache_file_recovers(self, tmp_path):
-        e1 = serial_engine(tmp_path)
-        fresh = e1.run_point(POINT)
-        path = e1.cache_path(point_key(POINT))
-        assert path.exists()
-        path.write_text("{ this is not json")
-
-        e2 = serial_engine(tmp_path)
-        recovered = e2.run_point(POINT)
-        assert recovered == fresh
-        assert e2.profile.disk_errors == 1
-        assert e2.profile.sims == 1
-        assert e2.profile.quarantines == 1
+    def _quarantined_once(self, tmp_path, text):
+        """A bad entry at POINT's path: moved aside intact, warned, rebuilt."""
+        manifest = tmp_path / "m.jsonl"
+        e = serial_engine(tmp_path / "cache", manifest_path=manifest)
+        path = e.cache_path(point_key(POINT))
+        path.parent.mkdir()
+        path.write_text(text)
+        assert e.run_point(POINT) == reference()
+        prof = e.profile
+        assert (prof.sims, prof.disk_errors, prof.quarantines) == (1, 1, 1)
         # Exactly the bad file was quarantined (preserved, not destroyed).
-        assert (tmp_path / "quarantine" / path.name).read_text() == (
-            "{ this is not json"
-        )
-        # The entry was rewritten and is valid again.
-        assert json.loads(path.read_text())["stats"]["cycles"] == fresh.cycles
+        assert (path.parent / "quarantine" / path.name).read_text() == text
+        assert manifest_warnings(manifest) == ["cache_quarantine"]
+        # The cache path holds a fresh, current-generation entry again.
+        assert path.read_text() == parent_entry(eng.CACHE_SCHEMA)
+
+    def test_corrupted_cache_file_recovers(self, tmp_path):
+        self._quarantined_once(tmp_path, "{ this is not json")
 
     def test_wrong_schema_is_quarantined(self, tmp_path):
         # CACHE_SCHEMA is part of the point key, so an entry at this key's
         # path stamped with another generation is inconsistent — it must
         # be quarantined and recomputed, not served and not left behind.
-        e1 = serial_engine(tmp_path)
-        fresh = e1.run_point(POINT)
-        path = e1.cache_path(point_key(POINT))
-        doc = json.loads(path.read_text())
-        doc["schema"] = -1
-        path.write_text(json.dumps(doc))
-        e2 = serial_engine(tmp_path)
-        assert e2.run_point(POINT) == fresh
-        assert e2.profile.sims == 1
-        assert e2.profile.quarantines == 1
-        quarantined = tmp_path / "quarantine" / path.name
-        assert json.loads(quarantined.read_text())["schema"] == -1
-        # The cache path holds a fresh, current-generation entry again.
-        assert json.loads(path.read_text())["schema"] == eng.CACHE_SCHEMA
+        self._quarantined_once(tmp_path, parent_entry(schema=-1))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '"x"', '{"schema": 2}', '{"schema": 2, "stats": [1]}', '{"schema": 2, "st'],
+    )
+    def test_entry_of_the_wrong_shape_is_quarantined(self, tmp_path, text):
+        # Valid JSON that is not a result document (the first two crashed
+        # the run before *any* decode error meant a bad entry), and a torn one.
+        self._quarantined_once(tmp_path, text)
+
+    def test_entry_written_by_the_parent_commit_is_a_hit(self, tmp_path):
+        (tmp_path / f"{point_key(POINT)}.json").write_text(parent_entry())
+        e = serial_engine(tmp_path)
+        assert e.run_point(POINT) == reference()
+        assert (e.profile.disk_hits, e.profile.sims) == (1, 0)
 
     def test_unwritable_cache_dir_degrades_gracefully(self, tmp_path):
         blocked = tmp_path / "not-a-dir"
@@ -177,6 +201,21 @@ class TestRunMany:
         out = e.run_many([POINT, POINT, SimPoint("rod-nw", "rba"), POINT])
         assert set(out) == {POINT, SimPoint("rod-nw", "rba")}
         assert e.profile.sims == 2
+
+    def test_result_order_is_hits_then_misses_in_request_order(self, tmp_path):
+        # Not the pool's completion order: two chunks, the first-requested
+        # app being the slower one to arrive is exactly the case.
+        points = [
+            SimPoint("tpcU-q3", "baseline"),
+            SimPoint("rod-nw", "rba"),
+            SimPoint("rod-nw", "baseline"),
+            SimPoint("tpcU-q3", "rba"),
+        ]
+        e = ExperimentEngine(workers=2, cache_dir=tmp_path)
+        e.run_point(points[2])  # one hit, requested third
+        out = e.run_many(points + [points[0]])
+        assert e.profile.sims == 4 and e.profile.retries == 0
+        assert list(out) == [points[2], points[0], points[1], points[3]]
 
     def test_parallel_matches_serial_byte_identical(self, tmp_path):
         apps = app_names() if os.environ.get("REPRO_FULL") == "1" else SAMPLE_APPS
@@ -198,8 +237,7 @@ class TestRunMany:
         points = [POINT, SimPoint("rod-nw", "rba")]
         out = e.run_many(points)
         assert e.profile.retries >= 1
-        reference = serial_engine().run_point(POINT)
-        assert out[POINT] == reference
+        assert out[POINT] == reference()
 
     def test_pool_unavailable_falls_back_to_serial(self, tmp_path, monkeypatch):
         e = ExperimentEngine(workers=4, cache_dir=tmp_path)
@@ -237,6 +275,34 @@ class TestSanitizedEngine:
             eng._engine = old
 
 
+class TestConfigure:
+    """``configure`` rebuilds from the arguments the engine was built with."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_engine(self):
+        old = eng._engine
+        yield
+        eng._engine = old
+
+    def test_defaulted_paths_follow_a_later_trace_dir(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        eng.configure(trace_dir=a)
+        e = eng.configure(trace_dir=b)
+        assert e.manifest.path == b / "manifest.jsonl"
+        assert e.journal.path == b / "journal.jsonl"
+
+    def test_explicit_manifest_path_survives_a_later_trace_dir(self, tmp_path):
+        chosen = tmp_path / "chosen.jsonl"
+        eng.configure(manifest_path=chosen)
+        e = eng.configure(trace_dir=tmp_path / "traces")
+        assert e.manifest.path == chosen
+        assert e.journal.path == tmp_path / "traces" / "journal.jsonl"
+
+    def test_unknown_option_is_the_constructors_type_error(self):
+        with pytest.raises(TypeError, match="no_such_option"):
+            eng.configure(no_such_option=1)
+
+
 def _tmp_leftovers(cache_dir: Path) -> list:
     return [p for p in cache_dir.iterdir() if p.name.endswith(".tmp")]
 
@@ -254,83 +320,35 @@ class TestStoreDiskRobustness:
         assert e.profile.disk_errors == 1
         assert _tmp_leftovers(tmp_path) == []
 
-    def test_failed_serialize_leaves_no_tmp_files(self, tmp_path, monkeypatch):
-        e = serial_engine(tmp_path)
-        stats = e._simulate_serial(POINT)
-
+    @staticmethod
+    def _failing_dump(monkeypatch, exc):
         def failing_dump(*args, **kwargs):
-            raise OSError("no space left on device")
+            raise exc
 
         monkeypatch.setattr(eng.json, "dump", failing_dump)
-        e._store_disk(point_key(POINT), POINT, stats)
+
+    def test_failed_serialize_leaves_no_tmp_files(self, tmp_path, monkeypatch):
+        e = serial_engine(tmp_path)
+        self._failing_dump(monkeypatch, OSError("no space left on device"))
+        assert e.run_point(POINT).cycles > 0  # a store error never fails a run
         assert e.profile.disk_errors == 1
         assert _tmp_leftovers(tmp_path) == []
 
-    def test_readonly_cache_dir_leaves_no_tmp_files(self, tmp_path):
-        if hasattr(os, "geteuid") and os.geteuid() == 0:
-            pytest.skip("root bypasses directory write permissions")
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        os.chmod(cache, 0o500)
-        try:
-            e = ExperimentEngine(workers=1, cache_dir=cache)
-            stats = e.run_point(POINT)
-            assert stats.cycles > 0
-            assert e.profile.disk_errors >= 1
-            assert _tmp_leftovers(cache) == []
-        finally:
-            os.chmod(cache, 0o700)
+    def test_interrupted_store_leaves_no_tmp_files(self, tmp_path, monkeypatch):
+        # What SIGTERM becomes while a batch runs: it propagates, but the
+        # staged file must not stay in the shared directory forever.
+        e = serial_engine(tmp_path)
+        self._failing_dump(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            e.run_point(POINT)
+        assert _tmp_leftovers(tmp_path) == []
 
 
 class TestCorruptEntryRace:
-    def test_quarantine_exact_moves_the_file_it_read(self, tmp_path):
-        path = tmp_path / "entry.json"
-        quarantine = tmp_path / "quarantine"
-        path.write_text("{ corrupted")
-        with open(path, "r", encoding="utf-8") as fh:
-            assert ExperimentEngine._quarantine_exact(path, fh, quarantine)
-        assert not path.exists()
-        # The bad entry is preserved for post-mortems, not destroyed.
-        assert (quarantine / "entry.json").read_text() == "{ corrupted"
-
-    def test_quarantine_exact_spares_a_replacement(self, tmp_path):
-        path = tmp_path / "entry.json"
-        quarantine = tmp_path / "quarantine"
-        path.write_text("{ corrupted")
-        with open(path, "r", encoding="utf-8") as fh:
-            incoming = tmp_path / "incoming.json"
-            incoming.write_text('{"fresh": true}')
-            os.replace(incoming, path)  # a parallel _store_disk lands
-            assert not ExperimentEngine._quarantine_exact(path, fh, quarantine)
-        assert path.read_text() == '{"fresh": true}'
-        assert not quarantine.exists()
-
-    def test_quarantine_exact_falls_back_to_unlink(self, tmp_path):
-        if hasattr(os, "geteuid") and os.geteuid() == 0:
-            pytest.skip("root bypasses directory write permissions")
-        readonly = tmp_path / "cache"
-        readonly.mkdir()
-        path = readonly / "entry.json"
-        path.write_text("{ corrupted")
-        # The parent dir allows unlink but the quarantine dir cannot be
-        # created once the directory is read-only — so this exercises the
-        # mkdir-failure path via a quarantine dir under a sealed parent.
-        sealed = tmp_path / "sealed"
-        sealed.mkdir()
-        os.chmod(sealed, 0o500)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                assert ExperimentEngine._quarantine_exact(
-                    path, fh, sealed / "quarantine"
-                )
-            assert not path.exists()
-        finally:
-            os.chmod(sealed, 0o700)
-
     def test_corrupt_cleanup_never_discards_a_parallel_store(
         self, tmp_path, monkeypatch
     ):
-        """The _load_disk / _store_disk race on a shared cache directory.
+        """The load / store race on a shared cache directory.
 
         Engine A opens a corrupted entry; while A holds it open, engine B
         (another process) atomically replaces the path with a fresh valid
@@ -354,11 +372,13 @@ class TestCorruptEntryRace:
 
         monkeypatch.setattr(eng.json, "load", racing_load)
         e2 = serial_engine(tmp_path)
-        assert e2._load_disk(key) is None
+        assert e2.run_point(POINT) == fresh  # the bad read re-simulates
         assert e2.profile.disk_errors == 1
         monkeypatch.setattr(eng.json, "load", real_load)
 
-        # The replacement survived the cleanup: a fresh engine disk-hits.
+        # Nothing was moved aside, so the replacement was never discarded.
+        assert e2.profile.quarantines == 0
+        assert not (tmp_path / "quarantine").exists()
         e3 = serial_engine(tmp_path)
         assert e3.run_point(POINT) == fresh
         assert e3.profile.disk_hits == 1
@@ -446,9 +466,8 @@ class TestWorkerCrashRetry:
 
         # The crashing point was retried once, serially, in the parent.
         assert e.profile.retries == 1
-        reference = serial_engine().run_point(POINT)
-        assert out[POINT] == reference
-        assert dump_json(out[POINT]) == dump_json(reference)
+        assert out[POINT] == reference()
+        assert dump_json(out[POINT]) == dump_json(reference())
         assert out[other].cycles > 0
 
         # The manifest records how each point was actually resolved.
@@ -694,7 +713,7 @@ class TestEngineObservability:
         assert warnings and warnings[0]["kind"] == "chunk_timeout"
         assert "budget" in warnings[0]["detail"]
         # Despite the timeout, the retry path still produced real results.
-        assert out[POINT] == serial_engine().run_point(POINT)
+        assert out[POINT] == reference()
 
 
 class TestChaosIntegration:
@@ -708,30 +727,22 @@ class TestChaosIntegration:
         yield
         clear_plan()
 
-    def _warnings(self, manifest, kind):
-        return [
-            r
-            for r in read_manifest(manifest)
-            if r["source"] == "warning" and r["kind"] == kind
-        ]
-
-    def test_store_io_errors_degrade_to_memory_once(self, tmp_path):
+    def test_store_io_errors_degrade_to_memory_once(self, tmp_path, monkeypatch):
         from repro.chaos import install_plan, single_fault_plan
 
         manifest = tmp_path / "m.jsonl"
         e = serial_engine(tmp_path / "cache", manifest_path=manifest)
-        e.store_error_threshold = 1
+        monkeypatch.setattr(_store, "STORE_ERROR_THRESHOLD", 1)
         install_plan(single_fault_plan("io_error", "result_store", times=0))
         first = e.run_point(POINT)
         e.run_point(SimPoint("rod-nw", "rba"))
-        assert e._store_degraded
         # Only the first store hit the disk; the second short-circuited,
         # so exactly one error and one structured warning.
         assert e.profile.disk_errors == 1
-        assert len(self._warnings(manifest, "cache_degraded")) == 1
+        assert manifest_warnings(manifest) == ["cache_degraded"]
         assert not list((tmp_path / "cache").glob("*.json"))
         # Results are unaffected: memory-only, but correct.
-        assert first == serial_engine().run_point(POINT)
+        assert first == reference()
 
     def test_chaos_corrupted_read_quarantines_and_recovers(self, tmp_path):
         from repro.chaos import install_plan, single_fault_plan
@@ -747,16 +758,18 @@ class TestChaosIntegration:
             fresh.to_payload()
         )
         assert list((tmp_path / "quarantine").iterdir())
-        assert len(self._warnings(manifest, "cache_quarantine")) == 1
+        assert manifest_warnings(manifest) == ["cache_quarantine"]
 
-    def test_circuit_breaker_opens_and_run_still_completes(self, tmp_path):
+    def test_circuit_breaker_opens_and_run_still_completes(
+        self, tmp_path, monkeypatch
+    ):
         from repro.chaos import install_plan, single_fault_plan
 
         manifest = tmp_path / "m.jsonl"
         e = ExperimentEngine(
             workers=2, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
-        e.circuit_threshold = 1
+        monkeypatch.setattr(eng, "CIRCUIT_THRESHOLD", 1)
         # Every worker-side simulation crashes; the in-parent retries
         # (outside the rule's scope) heal each point.
         install_plan(
@@ -767,9 +780,9 @@ class TestChaosIntegration:
         assert len(out) == 2
         assert e._circuit_open
         assert e.profile.retries == 2
-        assert len(self._warnings(manifest, "circuit_open")) == 1
-        assert self._warnings(manifest, "chunk_crash")
-        assert out[POINT] == serial_engine().run_point(POINT)
+        assert manifest_warnings(manifest).count("circuit_open") == 1
+        assert "chunk_crash" in manifest_warnings(manifest)
+        assert out[POINT] == reference()
 
 
 class TestJournalResume:
@@ -828,12 +841,7 @@ class TestJournalResume:
         e2.run_point(POINT)
         assert e2.profile.sims == 1
         assert e2.profile.resumed == 0
-        warnings = [
-            r
-            for r in read_manifest(manifest)
-            if r["source"] == "warning" and r["kind"] == "journal_mismatch"
-        ]
-        assert len(warnings) == 1
+        assert manifest_warnings(manifest) == ["journal_mismatch"]
         # The re-simulated point re-journaled its true digest (last wins).
         assert load_journal(journal)[key] != "forged"
 

@@ -139,6 +139,10 @@ def test_warm_figure_never_loads_the_simulator(tmp_path):
     assert f"disk hits     {len(grid)}" in stdout
     assert "simulations   0" in stdout
     assert loaded(modules, MISS_PATH_ONLY) == []
+    # Every hit went through the one store, which brings in nothing of its
+    # own: the pickle codec stays in code_cache (listed above), and
+    # ``tempfile`` loads at the first write — a warm run never writes.
+    assert "repro._store" in modules and "tempfile" not in modules
     figures = loaded(modules, ["repro.experiments"])
     assert "repro.experiments.rba_banks" in figures
     assert not [m for m in figures if ".fig" in m or ".ablation" in m]
