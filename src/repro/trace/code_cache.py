@@ -33,12 +33,14 @@ imports :mod:`repro.trace`); callers pass the key material and a builder.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import pickle
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .._store import ContentStore
 
@@ -124,6 +126,29 @@ def _store(cache_dir: Path) -> ContentStore:
     return store
 
 
+@contextmanager
+def _paused_gc() -> Iterator[None]:
+    """Disable the cyclic collector for the block; restore the prior state.
+
+    One ``pickle.dump`` or ``pickle.load`` of an artifact allocates or
+    walks tens of thousands of container objects that are acyclic and all
+    live when the call returns, so the generational collector's
+    allocation-count trigger fires throughout and can free none of them:
+    unpaused, that is half the time of a load (``docs/performance.md``,
+    "Trace build path").  Restores on success
+    and on any exception, nests, and never enables a collector the caller
+    had disabled.  Synthesis and lowering are deliberately *not* paused:
+    their collections are what reclaims a process's older cyclic garbage.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _decode(fh) -> Any:
     envelope = pickle.load(fh)
     if (
@@ -143,7 +168,8 @@ def load_compiled(cache_dir: Path, key: str) -> Optional[Any]:
     :data:`CODE_VERSION`) are quarantined — moved aside, never served,
     never silently deleted — and the artifact recompiles.
     """
-    return _store(cache_dir).load(key, _decode)
+    with _paused_gc():
+        return _store(cache_dir).load(key, _decode)
 
 
 def store_compiled(cache_dir: Path, key: str, artifact: Any) -> None:
@@ -154,9 +180,10 @@ def store_compiled(cache_dir: Path, key: str, artifact: Any) -> None:
     the store goes memory-only for this process and queues a single
     ``cache_degraded`` note instead of erroring per artifact.
     """
-    _store(cache_dir).store(
-        key, lambda fh: pickle.dump((_MAGIC, CODE_VERSION, artifact), fh, protocol=4)
-    )
+    with _paused_gc():
+        _store(cache_dir).store(
+            key, lambda fh: pickle.dump((_MAGIC, CODE_VERSION, artifact), fh, protocol=4)
+        )
 
 
 def get_or_build(

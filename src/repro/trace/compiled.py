@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
-from ..isa import FuncUnit, Instruction
+from ..isa import FuncUnit, Instruction, Opcode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel_trace import KernelTrace
@@ -48,6 +48,18 @@ UNIT_INDEX: Dict[FuncUnit, int] = {unit: i for i, unit in enumerate(FuncUnit)}
 F_BARRIER = 1
 F_EXIT = 2
 F_MEMORY = 4
+
+#: ``(unit id, flags)`` of every opcode, keyed by name: a ``str`` caches
+#: its hash, where an Enum member or ``OpcodeInfo`` key hashes in Python.
+_OPCODE_STATIC: Dict[str, Tuple[int, int]] = {
+    op.name: (
+        UNIT_INDEX[op.value.unit],
+        (F_BARRIER if op.value.is_barrier else 0)
+        | (F_EXIT if op.value.is_exit else 0)
+        | (F_MEMORY if op.value.is_memory else 0),
+    )
+    for op in Opcode
+}
 
 BankMapper = Callable[[int, int, int], int]
 
@@ -94,12 +106,28 @@ class _BankTable:
         key = warp_id % self.period if self.period else warp_id
         row = self._rows.get(key)
         if row is None:
-            mapper = self.mapper
-            nb = self.num_banks
-            row = tuple(
-                tuple(mapper(r, warp_id, nb) for r in srcs)
-                for srcs in self._src_regs
-            )
+            # One mapper call per register the trace reads, then an index
+            # per operand, unrolled over the operand counts an Instruction
+            # allows.  Every entry is a fresh tuple: entries shared between
+            # instructions would change the pickled artifact.
+            bank = {
+                r: self.mapper(r, warp_id, self.num_banks)
+                for r in set().union(*self._src_regs)
+            }
+            entries = []
+            for srcs in self._src_regs:
+                n = len(srcs)
+                if n == 3:
+                    a, b, c = srcs
+                    entries.append((bank[a], bank[b], bank[c]))
+                elif n == 2:
+                    a, b = srcs
+                    entries.append((bank[a], bank[b]))
+                elif n == 1:
+                    entries.append((bank[srcs[0]],))
+                else:
+                    entries.append(tuple([bank[r] for r in srcs]))
+            row = tuple(entries)
             self._rows[key] = row
         return row
 
@@ -127,42 +155,31 @@ class CompiledWarp:
     )
 
     def __init__(self, instructions: Tuple[Instruction, ...]):
+        # Column at a time: one comprehension per array costs a fraction of a
+        # single loop appending to six lists.
         self.insts = instructions
         self.length = len(instructions)
         self.src_regs: Tuple[Tuple[int, ...], ...] = tuple(
-            inst.src_regs for inst in instructions
+            [inst.src_regs for inst in instructions]
+        )
+        self.reads_rf = tuple([inst.reads_rf for inst in instructions])
+        self.num_src = tuple([inst.num_src for inst in instructions])
+        static = [_OPCODE_STATIC[inst.info.name] for inst in instructions]
+        self.unit_ids = tuple([unit for unit, _ in static])
+        self.flags = tuple([flags for _, flags in static])
+        self.dst_bits = tuple(
+            [0 if inst.dst_reg is None else 1 << inst.dst_reg for inst in instructions]
         )
         hazard_masks = []
-        dst_bits = []
-        unit_ids = []
-        reads_rf = []
-        num_src = []
-        flags = []
-        for inst in instructions:
-            info = inst.info
-            if info.is_exit:
+        for srcs, mask, flags in zip(self.src_regs, self.dst_bits, self.flags):
+            if flags & F_EXIT:
                 # EXIT waits for the whole scoreboard to drain.
                 mask = -1
             else:
-                mask = 1 << inst.dst_reg if inst.dst_reg is not None else 0
-                for r in inst.src_regs:
+                for r in srcs:
                     mask |= 1 << r
             hazard_masks.append(mask)
-            dst_bits.append(1 << inst.dst_reg if inst.dst_reg is not None else 0)
-            unit_ids.append(UNIT_INDEX[info.unit])
-            reads_rf.append(inst.reads_rf)
-            num_src.append(inst.num_src)
-            flags.append(
-                (F_BARRIER if info.is_barrier else 0)
-                | (F_EXIT if info.is_exit else 0)
-                | (F_MEMORY if info.is_memory else 0)
-            )
         self.hazard_masks = tuple(hazard_masks)
-        self.dst_bits = tuple(dst_bits)
-        self.unit_ids = tuple(unit_ids)
-        self.reads_rf = tuple(reads_rf)
-        self.num_src = tuple(num_src)
-        self.flags = tuple(flags)
         self._bank_tables: Dict[Tuple[BankMapper, int], _BankTable] = {}
 
     def bank_table(self, mapper: BankMapper, num_banks: int) -> _BankTable:  # simcheck: hot-ok -- memoized per (mapper, banks); builds only on first miss

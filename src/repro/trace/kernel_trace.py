@@ -62,7 +62,12 @@ class KernelTrace:
             raise ValueError("regs_per_thread must be >= 1")
         if self.shared_mem_per_cta < 0:
             raise ValueError("shared_mem_per_cta must be >= 0")
-        needed = max(c.max_register() for c in self.ctas) + 1
+        needed, scanned = 0, None
+        for cta in self.ctas:
+            # ``uniform`` repeats one CTATrace by reference: scan it once.
+            if cta is not scanned:
+                needed = max(needed, cta.max_register() + 1)
+                scanned = cta
         if needed > self.regs_per_thread:
             raise ValueError(
                 f"kernel {self.name!r} references register R{needed - 1} but "

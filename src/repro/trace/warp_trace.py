@@ -26,10 +26,12 @@ class WarpTrace:
     instructions: List[Instruction] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.instructions and not self.instructions[-1].opcode.is_exit:
+        # ``inst.info`` is a plain attribute; ``inst.opcode.is_exit`` pays the
+        # Enum property descriptor once per instruction of every trace built.
+        if self.instructions and not self.instructions[-1].info.is_exit:
             raise ValueError("warp trace must end with EXIT")
         for inst in self.instructions[:-1]:
-            if inst.opcode.is_exit:
+            if inst.info.is_exit:
                 raise ValueError("EXIT may only appear as the final instruction")
 
     def __len__(self) -> int:
@@ -48,8 +50,10 @@ class WarpTrace:
 
     def max_register(self) -> int:
         """Highest architectural register id referenced, or -1 if none."""
-        regs = [r for inst in self.instructions for r in inst.registers()]
-        return max(regs) if regs else -1
+        regs = set().union(*[inst.src_regs for inst in self.instructions])
+        regs.update([inst.dst_reg for inst in self.instructions])
+        regs.discard(None)
+        return max(regs, default=-1)
 
     def register_reads(self) -> int:
         """Total register-file source-operand reads in the trace."""
@@ -62,7 +66,7 @@ class WarpTrace:
     def from_instructions(instructions: Sequence[Instruction]) -> "WarpTrace":
         """Build a trace, appending EXIT if the sequence does not end in one."""
         insts = list(instructions)
-        if not insts or not insts[-1].opcode.is_exit:
+        if not insts or not insts[-1].info.is_exit:
             from ..isa import exit_
 
             insts.append(exit_())

@@ -22,12 +22,24 @@ LINE_BYTES = 128
 #: Hot-set lines per warp for local (hit-side) accesses.
 HOT_LINES = 16
 
-_ARITH_FP = (Opcode.FADD, Opcode.FMUL, Opcode.FFMA)
-_ARITH_INT = (Opcode.SHF, Opcode.IADD, Opcode.IMAD)
+#: Opcode of each instruction code ``build_warp_trace`` computes: the four
+#: memory/special kinds, then plain arithmetic by type and operand count.
+_STG, _LDG, _LDS, _MUFU, _HMMA, _ARITH_FP, _ARITH_INT = 0, 1, 2, 3, 4, 5, 8
+_OPCODES = (
+    Opcode.STG, Opcode.LDG, Opcode.LDS, Opcode.MUFU, Opcode.HMMA,
+    Opcode.FADD, Opcode.FMUL, Opcode.FFMA,
+    Opcode.SHF, Opcode.IADD, Opcode.IMAD,
+)
 
 
 def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> WarpTrace:
-    """Synthesize one warp's instruction stream."""
+    """Synthesize one warp's instruction stream.
+
+    Every decision is a function of the bulk draws and the instruction
+    index, so whole columns (opcode, destination, sources, address) are
+    computed array-wise; Python touches each instruction once, to
+    construct it.
+    """
     rng = np.random.default_rng((profile.seed, warp_index))
     p = profile
 
@@ -45,90 +57,74 @@ def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> Wa
     reg_draw = rng.integers(0, p.read_regs, size=(num_insts, 3))
     biased_draw = rng.integers(0, max(1, p.read_regs // 2), size=(num_insts, 3))
     hot_draw = rng.integers(0, HOT_LINES, size=num_insts)
+    first_parity = int(rng.integers(0, 2))
 
+    index = np.arange(num_insts)
+
+    # Instruction kind: cumulative cuts over one uniform draw.  The cut a
+    # draw falls under is its code (LDG, LDS, MUFU, HMMA); past the last
+    # cut is plain arithmetic, and a global access may be a store.
     mem_cut = p.mem_fraction
     lds_cut = mem_cut + p.lds_fraction
     sfu_cut = lds_cut + p.sfu_fraction
     tensor_cut = sfu_cut + p.tensor_fraction
-
-    # Per-warp address regions: a small hot set (locality hits) and an
-    # unbounded stream (misses).
-    hot_base = (warp_index + 1) << 24
-    stream_line = (warp_index + 1) << 16
-    write_base = p.read_regs
-    addr_reg = p.read_regs + p.write_regs  # dedicated address register
+    code = 1 + np.searchsorted((mem_cut, lds_cut, sfu_cut, tensor_cut), kind_draw, side="right")
+    is_global = code == _LDG
+    is_store = is_global & store_draw
+    code[is_store] = _STG
+    is_arith = code > _HMMA
+    code[is_arith] = (np.where(fp_draw, _ARITH_FP, _ARITH_INT) + nops - 1)[is_arith]
 
     # Bank-coherent phases: all biased instructions inside one phase use
-    # the same register parity class.
-    parity = int(rng.integers(0, 2))
-    phase_left = p.phase_len
+    # the same register parity class; it flips every ``phase_len``.
+    parity = (first_parity + (index + 1) // p.phase_len) & 1
+    drawn = np.arange(3) < nops[:, None]
+    src = np.where(
+        bias_draw[:, None] & drawn,
+        (2 * biased_draw + parity[:, None]) % p.read_regs,
+        reg_draw,
+    )
+    # A dependent instruction reads its predecessor's result, unless that
+    # was a store (no destination) or there is no predecessor.
+    dst = p.read_regs + index % p.write_regs
+    chained = dep_draw[1:] & ~is_store[:-1]
+    src[1:][chained, 0] = dst[:-1][chained]
 
-    insts: List[Instruction] = []
-    last_dst = None
-    for i in range(num_insts):
-        phase_left -= 1
-        if phase_left <= 0:
-            parity ^= 1
-            phase_left = p.phase_len
+    # Source-operand shape per kind; HMMA pads to three with ``reg_draw``,
+    # which the columns of ``src`` beyond ``nops`` already hold.
+    addr_reg = p.read_regs + p.write_regs  # dedicated address register
+    is_load = (code == _LDG) | (code == _LDS)
+    num_src = nops.copy()
+    num_src[code == _HMMA] = 3
+    num_src[is_load | (code == _MUFU)] = 1
+    num_src[is_store] = 2
+    src[is_load, 0] = addr_reg
+    src[is_store, 1] = addr_reg
 
-        k = int(nops[i])
-        if bias_draw[i]:
-            srcs = [int(2 * biased_draw[i, j] + parity) % p.read_regs for j in range(k)]
-        else:
-            srcs = [int(reg_draw[i, j]) for j in range(k)]
-        if dep_draw[i] and last_dst is not None:
-            srcs[0] = last_dst
-        dst = write_base + (i % p.write_regs)
+    # Per-warp address regions: a small hot set (locality hits) and an
+    # unbounded stream (misses) that each streaming load advances.
+    hot_base = (warp_index + 1) << 24
+    streaming = (code == _LDG) & ~local_draw
+    stream_line = ((warp_index + 1) << 16) + p.coalesced_lines * np.cumsum(streaming)
+    line = np.where(local_draw, hot_base + hot_draw, stream_line)
+    line[is_store] = (stream_line + index)[is_store]
+    lines = np.where(streaming | is_store, p.coalesced_lines, 1)
 
-        x = kind_draw[i]
-        if x < mem_cut:
-            if store_draw[i]:
-                line = stream_line + i
-                insts.append(
-                    Instruction(
-                        Opcode.STG,
-                        src_regs=(srcs[0] if srcs else 0, addr_reg),
-                        mem=MemRef(
-                            base_address=line * LINE_BYTES,
-                            num_lines=p.coalesced_lines,
-                            is_store=True,
-                        ),
-                    )
-                )
-                last_dst = None
-            else:
-                if local_draw[i]:
-                    line = hot_base + int(hot_draw[i])
-                    lines = 1
-                else:
-                    stream_line += p.coalesced_lines
-                    line = stream_line
-                    lines = p.coalesced_lines
-                insts.append(
-                    Instruction(
-                        Opcode.LDG,
-                        dst_reg=dst,
-                        src_regs=(addr_reg,),
-                        mem=MemRef(base_address=line * LINE_BYTES, num_lines=lines),
-                    )
-                )
-                last_dst = dst
-        elif x < lds_cut:
-            insts.append(Instruction(Opcode.LDS, dst_reg=dst, src_regs=(addr_reg,)))
-            last_dst = dst
-        elif x < sfu_cut:
-            insts.append(Instruction(Opcode.MUFU, dst_reg=dst, src_regs=(srcs[0],)))
-            last_dst = dst
-        elif x < tensor_cut:
-            while len(srcs) < 3:
-                srcs.append(int(reg_draw[i, len(srcs) % 3]))
-            insts.append(Instruction(Opcode.HMMA, dst_reg=dst, src_regs=tuple(srcs[:3])))
-            last_dst = dst
-        else:
-            table = _ARITH_FP if fp_draw[i] else _ARITH_INT
-            insts.append(Instruction(table[k - 1], dst_reg=dst, src_regs=tuple(srcs)))
-            last_dst = dst
+    opcodes = [_OPCODES[c] for c in code.tolist()]
+    dsts = dst.tolist()
+    srcs = [tuple(row[:n]) for row, n in zip(src.tolist(), num_src.tolist())]
+    mems = [None] * num_insts
+    for i, address, count, store in zip(
+        np.flatnonzero(is_global).tolist(),
+        (line[is_global] * LINE_BYTES).tolist(),
+        lines[is_global].tolist(),
+        is_store[is_global].tolist(),
+    ):
+        mems[i] = MemRef(address, count, store)
+        if store:
+            dsts[i] = None
 
+    insts: List[Instruction] = list(map(Instruction, opcodes, dsts, srcs, mems))
     if p.barrier:
         insts.append(Instruction(Opcode.BAR))
     return WarpTrace.from_instructions(insts)
