@@ -4,8 +4,11 @@ Three cache/schema version constants guard on-disk artifacts whose
 staleness is *silent* — a stale compiled trace or result-cache entry
 doesn't crash, it quietly reproduces old behaviour:
 
-* ``CODE_VERSION`` (``repro/trace/code_cache.py``) over the compiled
-  representation (``repro/trace/compiled.py``),
+* ``CODE_VERSION`` (``repro/trace/code_cache.py``) over the compiled-trace
+  artifact: its codec, the trace and compiled-column classes it pickles
+  (``repro/trace/{warp_trace,kernel_trace,compiled}.py``), opcode
+  numbering (``repro/isa/opcodes.py``) and the bank mappers whose rows it
+  stores (``repro/regalloc/bank_mapping.py``),
 * ``PROFILE_VERSION`` (``repro/workloads/profiles.py``) over the profile
   payload and the profile → trace synthesizer,
 * ``CACHE_SCHEMA`` (``repro/experiments/engine.py``) over the result
@@ -71,7 +74,16 @@ CONTRACTS: Tuple[Contract, ...] = (
         "compiled-trace",
         "trace/code_cache.py",
         "CODE_VERSION",
-        ("trace/compiled.py", "trace/code_cache.py"),
+        # Every module that defines what is in an artifact: the envelope
+        # and codec, the pickled classes, opcode numbering, bank rows.
+        (
+            "trace/code_cache.py",
+            "trace/compiled.py",
+            "trace/warp_trace.py",
+            "trace/kernel_trace.py",
+            "isa/opcodes.py",
+            "regalloc/bank_mapping.py",
+        ),
     ),
     Contract(
         "profile-payload",

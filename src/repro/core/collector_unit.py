@@ -1,16 +1,16 @@
 """Collector units: the staging slots of the operand collector.
 
-Each CU holds a single warp instruction while its source operands are read
-from the register-file banks (Fig. 2).  An operand entry is *pending* until
-the arbitration unit grants its bank read; when no entries are pending the
-CU is ready to dispatch to an execution unit.
+Each CU holds a single warp instruction — a warp and the position ``pc`` in
+its compiled code — while its source operands are read from the
+register-file banks (Fig. 2).  An operand entry is *pending* until the
+arbitration unit grants its bank read; when no entries are pending the CU
+is ready to dispatch to an execution unit.  A CU is occupied exactly when
+it has a warp.
 """
 
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
-
-from ..isa import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover
     from .execution import Pipeline
@@ -23,7 +23,7 @@ class CollectorUnit:
     __slots__ = (
         "cu_id",
         "warp",
-        "instruction",
+        "pc",
         "pipe",
         "pending_operands",
         "allocated_cycle",
@@ -32,7 +32,7 @@ class CollectorUnit:
     def __init__(self, cu_id: int):
         self.cu_id = cu_id
         self.warp: Optional["Warp"] = None
-        self.instruction: Optional[Instruction] = None
+        self.pc = -1
         #: Execution pipeline resolved at allocation time (from the warp's
         #: compiled code), so dispatch never re-derives it from the opcode.
         self.pipe: Optional["Pipeline"] = None
@@ -41,26 +41,23 @@ class CollectorUnit:
 
     @property
     def free(self) -> bool:
-        return self.instruction is None
+        return self.warp is None
 
     @property
     def ready(self) -> bool:
         """All operands collected; instruction awaiting dispatch."""
-        return self.instruction is not None and self.pending_operands == 0
+        return self.warp is not None and self.pending_operands == 0
 
     def allocate(
-        self,
-        warp: "Warp",
-        inst: Instruction,
-        cycle: int,
-        pipe: Optional["Pipeline"] = None,
+        self, warp: "Warp", cycle: int, pipe: Optional["Pipeline"] = None
     ) -> None:
+        """Take the instruction at ``warp``'s trace cursor."""
         if not self.free:
             raise RuntimeError(f"CU {self.cu_id} double allocation")
         self.warp = warp
-        self.instruction = inst
+        self.pc = warp.pc
         self.pipe = pipe
-        self.pending_operands = inst.num_src
+        self.pending_operands = warp.code.num_src[warp.pc]
         self.allocated_cycle = cycle
 
     def operand_granted(self) -> None:
@@ -70,7 +67,7 @@ class CollectorUnit:
 
     def release(self) -> None:
         self.warp = None
-        self.instruction = None
+        self.pc = -1
         self.pipe = None
         self.pending_operands = 0
         self.allocated_cycle = -1
@@ -107,8 +104,8 @@ class CollectorUnit:
                     }
                 )
             return errors
-        assert self.instruction is not None
-        limit = self.instruction.num_src_operands
+        assert self.warp is not None
+        limit = self.warp.code.num_src[self.pc]
         if not 0 <= self.pending_operands <= limit:
             errors.append(
                 {
@@ -120,16 +117,6 @@ class CollectorUnit:
                     "counter": "pending_operands",
                     "expected": f"0..{limit}",
                     "actual": self.pending_operands,
-                }
-            )
-        if self.warp is None:
-            errors.append(
-                {
-                    "invariant": "cu-occupancy",
-                    "message": f"occupied CU {self.cu_id} has no warp",
-                    "counter": "warp",
-                    "expected": "a warp",
-                    "actual": None,
                 }
             )
         return errors

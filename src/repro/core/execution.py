@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..config import GPUConfig
-from ..isa import FuncUnit, Instruction
+from ..isa import FuncUnit
 
 
 @dataclass
@@ -67,10 +67,13 @@ class Pipeline:
         free = ports[0] if self.single else min(ports)
         return free <= now
 
-    def issue(self, inst: Instruction, now: int) -> int:
-        """Occupy the freest port; return the execution-complete cycle."""
-        info = inst.info
-        interval = max(info.initiation_interval, self.lane_interval)
+    def issue(self, initiation_interval: int, latency: int, now: int) -> int:
+        """Occupy the freest port; return the execution-complete cycle.
+
+        ``initiation_interval`` and ``latency`` are the instruction's own
+        (``CompiledWarp.intervals`` / ``latencies``).
+        """
+        interval = max(initiation_interval, self.lane_interval)
         ports = self.port_free
         if self.single:
             ports[0] = now + interval
@@ -79,7 +82,7 @@ class Pipeline:
             ports[idx] = now + interval
         self.stats.issued += 1
         self.stats.busy_cycles += interval
-        return now + interval + info.latency
+        return now + interval + latency
 
 
 class ExecutionUnits:
@@ -102,15 +105,6 @@ class ExecutionUnits:
     def begin_run(self) -> None:
         for pipe in self.pipelines.values():
             pipe.begin_run()
-
-    def pipeline_for(self, inst: Instruction) -> Pipeline:
-        return self.pipelines[inst.info.unit]
-
-    def can_accept(self, inst: Instruction, now: int) -> bool:
-        return self.pipeline_for(inst).can_accept(now)
-
-    def issue(self, inst: Instruction, now: int) -> int:
-        return self.pipeline_for(inst).issue(inst, now)
 
     def next_free_cycle(self) -> int:
         """Earliest cycle any busy port frees (for fast-forward)."""

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..analysis.invariants import Sanitizer
 from ..config import GPUConfig
-from ..isa import Instruction
 from ..memory import MemorySubsystem
 from ..trace import CTATrace, KernelTrace
 from .subcore import SubCore
@@ -52,7 +51,6 @@ class StreamingMultiprocessor:
 
         self.resident_ctas: List[ThreadBlock] = []  # simcheck: persistent -- drains via _release_cta at retirement; a run only ends empty
         self.shared_mem_used = 0  # simcheck: persistent -- tracks CTA residency; returns to 0 as CTAs retire
-        self.shared_conflict_degree = 1
 
         # Entries are (cycle, seq, warp, reg); ``reg is None`` marks a
         # migration-arrival event rather than a register writeback.
@@ -198,12 +196,9 @@ class StreamingMultiprocessor:
         if warp.cta.finished:
             self._release_cta(warp.cta, now)
 
-    def memory_access(self, inst: Instruction, now: int, warp: Optional[Warp] = None) -> int:
-        degree = (
-            warp.cta.shared_conflict_degree if warp is not None
-            else self.shared_conflict_degree
-        )
-        return self.memory.access(inst, now, degree)
+    def memory_access(self, warp: Warp, pc: int, now: int) -> int:
+        """Completion cycle of ``warp``'s memory instruction at ``pc``."""
+        return self.memory.access(warp.code, pc, now, warp.cta.shared_conflict_degree)
 
     def schedule_writeback(self, cycle: int, warp: Warp, reg: int) -> None:
         heapq.heappush(self._wb_heap, (cycle, next(self._seq), warp, reg))

@@ -27,7 +27,7 @@ from heapq import heappush
 from typing import Callable, Collection, Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..config import GPUConfig
-from ..isa import FuncUnit, Instruction
+from ..isa import FuncUnit
 from ..obs.stall import (
     BANK_CONFLICT,
     BARRIER,
@@ -39,7 +39,7 @@ from ..obs.stall import (
     SCOREBOARD,
     empty_buckets,
 )
-from ..trace.compiled import F_BARRIER, F_EXIT
+from ..trace.compiled import F_BARRIER, F_EXIT, F_MEMORY
 from .arbitration import ArbitrationUnit
 from .collector_unit import CollectorUnit
 from .execution import ExecutionUnits, Pipeline
@@ -170,28 +170,24 @@ class SubCore:
             return
         sm = self.sm
         for cu in self.collector_units:
-            inst = cu.instruction
-            if inst is None:
+            warp = cu.warp
+            if warp is None:
                 continue
             if not cu.pending_operands:
-                # The pipeline was resolved at allocation; bare allocations
-                # (unit tests driving CUs directly) fall back to the opcode.
                 pipe = cu.pipe
-                if pipe is None:
-                    pipe = self.execution.pipelines[inst.info.unit]
+                assert pipe is not None
                 ports = pipe.port_free
                 if (ports[0] if pipe.single else min(ports)) <= now:
-                    warp = cu.warp
-                    assert warp is not None
+                    code = warp.code
+                    pc = cu.pc
                     if self.tracer is not None:
                         start, dur = cu.occupancy_span(now)
                         self.tracer.cu_span(
                             start, sm.sm_id, self.subcore_id, cu.cu_id,
-                            warp.warp_id, inst.opcode.name, dur,
+                            warp.warp_id, code.opcode_name(pc), dur,
                         )
                     # Inlined Pipeline.issue ...
-                    info = inst.info
-                    interval = info.initiation_interval
+                    interval = code.intervals[pc]
                     if pipe.lane_interval > interval:
                         interval = pipe.lane_interval
                     if pipe.single:
@@ -203,17 +199,17 @@ class SubCore:
                     pstats.issued += 1
                     pstats.busy_cycles += interval
                     # ... and _execute_on's completion/writeback tail ...
-                    t_done = now + interval + info.latency
-                    if info.is_memory:
-                        t_done = sm.memory_access(inst, t_done, warp)
-                    dst = inst.dst_reg
+                    t_done = now + interval + code.latencies[pc]
+                    if code.flags[pc] & F_MEMORY:
+                        t_done = sm.memory_access(warp, pc, t_done)
+                    dst = code.dst_regs[pc]
                     if dst is not None:
                         self.register_file.writes += 1
                         # Inlined SM.schedule_writeback.
                         heappush(sm._wb_heap, (t_done, next(sm._seq), warp, dst))
                     # ... and CollectorUnit.release.
                     cu.warp = None
-                    cu.instruction = None
+                    cu.pc = -1
                     cu.pipe = None
                     cu.pending_operands = 0
                     cu.allocated_cycle = -1
@@ -222,15 +218,8 @@ class SubCore:
             if not remaining:
                 return
 
-    def collect_operands(self, now: int) -> int:
-        """Phase 2: per-bank arbitration grants."""
-        grants = self.arbitration.grant_cycle(now)
-        if grants:
-            self.register_file.note_reads(grants)
-        return grants
-
     def issue(self, now: int) -> int:
-        """Phase 3: warp scheduler issue; returns instructions issued."""
+        """Phase 2: warp scheduler issue; returns instructions issued."""
         attr = self.stall_cycles
         ready = self.ready
         if not ready:
@@ -313,7 +302,7 @@ class SubCore:
                 candidates = [  # simcheck: hot-ok -- bank-stealing policy only; the pass inherently materializes its candidate pool
                     w
                     for w in self.ready
-                    if w not in skip and w.code.reads_rf[w.pc]
+                    if w not in skip and w.code.num_src[w.pc]
                 ]
                 victim = (
                     self.scheduler.steal_candidate(candidates, now)
@@ -321,8 +310,8 @@ class SubCore:
                     else None
                 )
                 if victim is not None:
-                    self._allocate_cu(free_cu, victim, victim.next_instruction, now)
-                    self._post_issue(victim, victim.next_instruction, now)
+                    self._allocate_cu(free_cu, victim, now)
+                    self._post_issue(victim, now)
                     self.steals += 1
                     issued += 1
         return issued
@@ -376,7 +365,7 @@ class SubCore:
         """
         for cu in self.collector_units:
             if (
-                cu.instruction is not None
+                cu.warp is not None
                 and cu.pending_operands
                 and cu.allocated_cycle < now
             ):
@@ -405,7 +394,7 @@ class SubCore:
 
     def _free_cu(self) -> Optional[CollectorUnit]:
         for cu in self.collector_units:
-            if cu.instruction is None:  # CollectorUnit.free, sans property call
+            if cu.warp is None:  # CollectorUnit.free, sans property call
                 return cu
         return None
 
@@ -415,31 +404,31 @@ class SubCore:
         # (those helpers remain for the bank-stealing pass).
         code = warp.code
         pc = warp.pc
-        inst = warp.next_instruction
-        if code.reads_rf[pc]:
+        num_src = code.num_src[pc]
+        if num_src:
             for cu in self.collector_units:
-                if cu.instruction is None:
+                if cu.warp is None:
                     break
             else:
                 return False
             cu.warp = warp
-            cu.instruction = inst
+            cu.pc = pc
             cu.pipe = self._pipes[code.unit_ids[pc]]
-            cu.pending_operands = inst.num_src
+            cu.pending_operands = num_src
             cu.allocated_cycle = now
             self._busy_cus += 1
             arbitration = self.arbitration
             queues = arbitration.queues
             for bank in warp._row[pc]:
                 queues[bank].append(cu)
-            arbitration.pending += inst.num_src
+            arbitration.pending += num_src
         else:
             # Direct path: no operands to collect.
             pipe = self._pipes[code.unit_ids[pc]]
             ports = pipe.port_free
             if (ports[0] if pipe.single else min(ports)) > now:
                 return False
-            self._execute_on(pipe, warp, inst, now)
+            self._execute_on(pipe, warp, pc, now)
         # Inlined _post_issue (flags read before note_issue advances pc).
         tracer = self.tracer
         flags = code.flags[pc]
@@ -447,9 +436,9 @@ class SubCore:
             info = self.scheduler.selection_info(warp)
             tracer.warp_issue(
                 now, self.sm.sm_id, self.subcore_id, warp.warp_id,
-                inst.opcode.name, pc, info["policy"], info["greedy"],
+                code.opcode_name(pc), pc, info["policy"], info["greedy"],
             )
-        warp.note_issue(inst)
+        warp.note_issue()
         # WarpScheduler.note_issue is the same pointer update on every
         # policy — write it directly.
         self.scheduler.last_issued = warp
@@ -470,16 +459,16 @@ class SubCore:
                 self.sm.warp_exited(warp, now)
         return True
 
-    def _allocate_cu(self, cu: CollectorUnit, warp: Warp, inst: Instruction, now: int) -> None:
-        cu.allocate(warp, inst, now, self._pipes[warp.code.unit_ids[warp.pc]])
+    def _allocate_cu(self, cu: CollectorUnit, warp: Warp, now: int) -> None:
+        cu.allocate(warp, now, self._pipes[warp.code.unit_ids[warp.pc]])
         self._busy_cus += 1
         arbitration = self.arbitration
         queues = arbitration.queues
         for bank in warp.src_banks_cached():
             queues[bank].append(cu)
-        arbitration.pending += inst.num_src
+        arbitration.pending += cu.pending_operands
 
-    def _post_issue(self, warp: Warp, inst: Instruction, now: int) -> None:
+    def _post_issue(self, warp: Warp, now: int) -> None:
         tracer = self.tracer
         # Compiled per-instruction flags, read before note_issue advances
         # the trace cursor.
@@ -490,9 +479,9 @@ class SubCore:
             info = self.scheduler.selection_info(warp)
             tracer.warp_issue(
                 now, self.sm.sm_id, self.subcore_id, warp.warp_id,
-                inst.opcode.name, warp.pc, info["policy"], info["greedy"],
+                warp.code.opcode_name(warp.pc), warp.pc, info["policy"], info["greedy"],
             )
-        warp.note_issue(inst)
+        warp.note_issue()
         self.scheduler.note_issue(warp)
         self.instructions_issued += 1
         self.sm.total_instructions += 1
@@ -510,22 +499,16 @@ class SubCore:
                     )
                 self.sm.warp_exited(warp, now)
 
-    def _execute(self, warp: Warp, inst: Instruction, now: int) -> None:
-        """Dispatch to the execution pipeline and schedule the writeback."""
-        self._execute_on(self.execution.pipeline_for(inst), warp, inst, now)
-
-    def _execute_on(
-        self, pipe: "Pipeline", warp: Warp, inst: Instruction, now: int
-    ) -> None:
-        """_execute with the pipeline already resolved by the caller."""
-        t_exec = pipe.issue(inst, now)
-        if inst.info.is_memory:
-            t_done = self.sm.memory_access(inst, t_exec, warp)
-        else:
-            t_done = t_exec
-        if inst.dst_reg is not None:
+    def _execute_on(self, pipe: "Pipeline", warp: Warp, pc: int, now: int) -> None:
+        """Dispatch ``warp``'s instruction at ``pc`` and schedule its writeback."""
+        code = warp.code
+        t_done = pipe.issue(code.intervals[pc], code.latencies[pc], now)
+        if code.flags[pc] & F_MEMORY:
+            t_done = self.sm.memory_access(warp, pc, t_done)
+        dst = code.dst_regs[pc]
+        if dst is not None:
             self.register_file.note_write()
-            self.sm.schedule_writeback(t_done, warp, inst.dst_reg)
+            self.sm.schedule_writeback(t_done, warp, dst)
 
     # -- sanitizer hook -------------------------------------------------------------
 
@@ -665,18 +648,15 @@ class SubCore:
             return now + 1
         if self._busy_cus:
             horizon: Optional[int] = None
-            pipelines = self.execution.pipelines
             for cu in self.collector_units:
-                inst = cu.instruction
-                if inst is None:
+                if cu.warp is None:
                     continue
                 if cu.pending_operands:
                     # A pending operand without a queued bank read would be
                     # an invariant break; never fast-forward past it.
                     return now + 1
                 pipe = cu.pipe
-                if pipe is None:
-                    pipe = pipelines[inst.info.unit]
+                assert pipe is not None
                 free = min(pipe.port_free)
                 if free <= now + 1:
                     return now + 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterator, Optional, Tuple, TYPE_CHECKING
 
-from ..isa import Instruction
 from ..trace.compiled import compile_warp_trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,7 +101,6 @@ class Warp:
         "issued_instructions",
         "finish_cycle",
         "ready_pool",
-        "next_instruction",
         "_row",
     )
 
@@ -131,11 +129,6 @@ class Warp:
         #: The owning sub-core's ready pool (kept in sync by set_state).
         #: An insertion-ordered dict-as-set — see SubCore.ready.
         self.ready_pool: Optional[Dict["Warp", None]] = None
-        #: The instruction at the trace cursor, maintained by note_issue so
-        #: the issue path never re-indexes the trace.  After EXIT issues the
-        #: cursor runs off the trace and this keeps pointing at EXIT — a
-        #: FINISHED warp's next_instruction is never consulted.
-        self.next_instruction: Instruction = self.code.insts[0]
         #: Pre-resolved source-bank row: ``_row[pc]`` is the bank tuple of
         #: the instruction at ``pc`` (attached by SubCore.add_warp;
         #: identical across sub-cores of a config, so it survives
@@ -154,26 +147,6 @@ class Warp:
     def pending_writes(self) -> _ScoreboardView:
         """Set-like view of the scoreboard (mutations write through)."""
         return _ScoreboardView(self)
-
-    def has_hazard(self, inst: Instruction) -> bool:
-        """RAW or WAW hazard between ``inst`` and outstanding writes.
-
-        EXIT additionally waits for the whole scoreboard to drain — a warp
-        cannot retire (and release its CTA's resources) with writebacks,
-        e.g. outstanding loads, still in flight.
-        """
-        pending = self._pending
-        if not pending:
-            return False
-        if inst.info.is_exit:
-            return True
-        dst = inst.dst_reg
-        if dst is not None and (pending >> dst) & 1:
-            return True
-        for r in inst.src_regs:
-            if (pending >> r) & 1:
-                return True
-        return False
 
     def set_state(self, state: WarpState) -> None:
         """Transition state, keeping the sub-core's ready pool in sync."""
@@ -204,15 +177,14 @@ class Warp:
 
     # -- lifecycle hooks called by the sub-core ------------------------------
 
-    def note_issue(self, inst: Instruction) -> None:
-        """Advance past ``inst`` and mark its destination pending."""
+    def note_issue(self) -> None:
+        """Advance past the instruction at ``pc``; mark its destination pending."""
         self.issued_instructions += 1
         code = self.code
         pc = self.pc
         self._pending |= code.dst_bits[pc]
         self.pc = pc = pc + 1
         if pc < code.length:
-            self.next_instruction = code.insts[pc]
             if self._pending & code.hazard_masks[pc]:
                 self.set_state(WarpState.BLOCKED)
             elif self.state is WarpState.BLOCKED:
@@ -225,10 +197,10 @@ class Warp:
         self._row = self.code.bank_table(mapper, num_banks).row_for(self.warp_id)
 
     def src_banks_cached(self) -> Tuple[int, ...]:
-        """Banks of next_instruction's source operands (duplicates kept).
+        """Banks of the source operands of the instruction at ``pc``.
 
-        Equivalent to ``RegisterFile.src_banks(next_instruction, warp_id)``
-        but pre-resolved at trace-compile time (``CompiledWarp.bank_table``)
+        Equivalent to ``RegisterFile.src_banks`` (duplicates kept) but
+        pre-resolved at trace-compile time (``CompiledWarp.bank_table``)
         instead of recomputed per scheduler evaluation and collector-unit
         allocation.
         """

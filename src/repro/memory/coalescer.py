@@ -1,17 +1,20 @@
 """Per-warp memory access coalescing.
 
 Traces record the coalescing *outcome* of each warp memory instruction
-(``MemRef.num_lines``); the coalescer expands that into the individual line
-transactions the caches see.  Consecutive lines starting at the base address
-model a strided/unit-stride pattern; this is all the cache model needs.
+(``num_lines`` of its memory row); the coalescer expands that into the
+individual line transactions the caches see.  Consecutive lines starting
+at the base address model a strided/unit-stride pattern; this is all the
+cache model needs.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, TYPE_CHECKING
 
-from ..isa import MemRef
 from .request import MemoryRequest
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..trace.warp_trace import MemRow
 
 
 class Coalescer:
@@ -22,9 +25,10 @@ class Coalescer:
             raise ValueError("line_bytes must be a positive power of two")
         self.line_bytes = line_bytes
 
-    def expand(self, mem: MemRef) -> List[MemoryRequest]:
-        base_line = mem.base_address // self.line_bytes
+    def expand(self, mem: "MemRow") -> List[MemoryRequest]:
+        base_address, num_lines, is_store = mem
+        base_line = base_address // self.line_bytes
         return [  # simcheck: hot-ok -- one request list per warp memory instruction, not per cycle
-            MemoryRequest(line_address=base_line + i, is_store=mem.is_store)
-            for i in range(mem.num_lines)
+            MemoryRequest(line_address=base_line + i, is_store=is_store)
+            for i in range(num_lines)
         ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from ..config import GPUConfig, MemoryConfig
-from ..isa import Instruction, MemRef
+from ..trace.warp_trace import GLOBAL_MEMORY, MEM_CLASS, SHARED_MEMORY
 from .cache import Cache
 from .coalescer import Coalescer
 from .dram import DRAM
@@ -20,6 +20,8 @@ from .shared_memory import SharedMemory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Tracer
+    from ..trace.compiled import CompiledWarp
+    from ..trace.warp_trace import MemRow
 
 
 def build_l2(mem: MemoryConfig) -> Cache:
@@ -88,7 +90,7 @@ class MemorySubsystem:
 
     # -- global memory ---------------------------------------------------------
 
-    def access_global(self, mem: MemRef, now: int) -> AccessResult:
+    def access_global(self, mem: "MemRow", now: int) -> AccessResult:
         """Send one warp's coalesced global transactions into the hierarchy."""
         requests = self.coalescer.expand(mem)
         l1_hits = l1_misses = l2_hits = l2_misses = 0
@@ -145,11 +147,13 @@ class MemorySubsystem:
 
     # -- instruction-level entry point --------------------------------------------
 
-    def access(self, inst: Instruction, now: int, shared_conflict_degree: int = 1) -> int:
-        """Completion cycle for a memory instruction's data."""
-        if inst.opcode.is_global_memory:
-            assert inst.mem is not None
-            result = self.access_global(inst.mem, now)
+    def access(
+        self, code: "CompiledWarp", pc: int, now: int, shared_conflict_degree: int = 1
+    ) -> int:
+        """Completion cycle for the data of the memory instruction at ``pc``."""
+        mem_class = MEM_CLASS[code.ops[pc]]
+        if mem_class == GLOBAL_MEMORY:
+            result = self.access_global(code.mem[pc], now)
             done = result.completion_cycle
             if self.tracer is not None:
                 self.tracer.mem_access(
@@ -161,9 +165,9 @@ class MemorySubsystem:
                     l1_misses=result.l1_misses,
                 )
             return done
-        if inst.opcode.is_shared_memory:
+        if mem_class == SHARED_MEMORY:
             done = self.access_shared(now, shared_conflict_degree)
             if self.tracer is not None:
                 self.tracer.mem_access(now, self._sm_id, "shared", max(1, done - now))
             return done
-        raise ValueError(f"{inst.opcode.name} is not a memory instruction")
+        raise ValueError(f"{code.opcode_name(pc)} is not a memory instruction")

@@ -5,8 +5,9 @@ and lowering it to :class:`~repro.trace.compiled.CompiledWarp` form is pure
 per-app work, yet an experiment grid repeats it for every (app, design)
 point: 13 designs sharing ``cg-lou`` synthesize the identical trace 13
 times.  This module stores the finished artifact — the ``KernelTrace``
-with its compiled code and prewarmed bank tables attached — as a pickle
-keyed by everything that determines its content:
+header, each warp's trace and compiled columns and its prewarmed bank
+rows; no ``Instruction`` object — as a pickle keyed by everything that
+determines its content:
 
 * :data:`CODE_VERSION` (the compiled representation's own schema),
 * ``PROFILE_VERSION`` (the profile → trace synthesis pipeline version),
@@ -22,8 +23,10 @@ Location: ``$REPRO_TRACE_CACHE_DIR`` when set, else
 ``~/.cache/repro-sim/trace-code``.  Each directory is a
 :class:`~repro._store.ContentStore`, which owns the atomic-write /
 quarantine / memory-only rule (``docs/robustness.md``); this module adds
-the pickle codec and a per-process notes queue: quarantine and degrade
-events append ``(kind, detail)`` pairs, engine workers drain them
+the pickle codec, which reads a cache file as outside input (only the
+artifact's own types unpickle, and its structure is checked before it is
+served), and a per-process notes queue: quarantine and degrade events
+append ``(kind, detail)`` pairs, engine workers drain them
 (:func:`drain_notes`) and ship them to the parent, which deduplicates
 them into structured manifest warnings.
 
@@ -43,11 +46,16 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .._store import ContentStore
+from ..regalloc.bank_mapping import MAPPINGS
+from .compiled import CompiledWarp, _BankTable
+from .kernel_trace import CTATrace, KernelTrace
+from .warp_trace import WarpTrace
 
-#: Schema version of the compiled-trace artifact.  Bump whenever
-#: :class:`~repro.trace.compiled.CompiledWarp`'s layout or the pickled
-#: envelope changes; old entries then miss instead of unpickling garbage.
-CODE_VERSION = 1
+#: Schema version of the compiled-trace artifact.  Bump whenever the
+#: content of a module the artifact is made of changes (the
+#: ``compiled-trace`` watch list of ``repro.analysis``); the key contains
+#: it, so old entries are simply never addressed again.
+CODE_VERSION = 2
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_TRACE_CACHE_DIR"
@@ -149,8 +157,44 @@ def _paused_gc() -> Iterator[None]:
             gc.enable()
 
 
-def _decode(fh) -> Any:
-    envelope = pickle.load(fh)
+#: Every global an artifact may name: the trace containers, the compiled
+#: columns, and the registered bank mappers its bank tables are keyed by.
+_ARTIFACT_GLOBALS = {
+    (obj.__module__, obj.__qualname__)
+    for obj in (KernelTrace, CTATrace, WarpTrace, CompiledWarp, _BankTable, *MAPPINGS.values())
+}
+
+
+class _ArtifactUnpickler(pickle.Unpickler):
+    """``pickle.load`` that imports nothing a cache file merely names."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in _ARTIFACT_GLOBALS:
+            raise pickle.UnpicklingError(f"{module}.{name} is not part of a trace artifact")
+        return super().find_class(module, name)
+
+
+def _checked(kernel: Any) -> KernelTrace:
+    """``kernel``, once it is known to have the structure of an artifact.
+
+    Unpickling runs no constructor; what the replay path indexes without a
+    check of its own is checked here, once per unique warp trace.
+    """
+    if not isinstance(kernel, KernelTrace):
+        raise ValueError("not a kernel trace")
+    checked = None
+    for cta in kernel.ctas:
+        # ``uniform`` repeats one CTATrace by reference: check it once.
+        if cta is not checked:
+            checked = cta
+            for trace in cta.warps:
+                if not trace._code.well_formed(trace):
+                    raise ValueError("malformed compiled columns")
+    return kernel
+
+
+def _decode(fh) -> KernelTrace:
+    envelope = _ArtifactUnpickler(fh).load()
     if (
         not isinstance(envelope, tuple)
         or len(envelope) != 3
@@ -158,21 +202,22 @@ def _decode(fh) -> Any:
         or envelope[1] != CODE_VERSION
     ):
         raise ValueError("wrong cache generation")
-    return envelope[2]
+    return _checked(envelope[2])
 
 
-def load_compiled(cache_dir: Path, key: str) -> Optional[Any]:
+def load_compiled(cache_dir: Path, key: str) -> Optional[KernelTrace]:
     """The cached artifact for ``key``, or None on miss/corruption.
 
-    Corrupted pickles and wrong-generation envelopes (stale magic or
-    :data:`CODE_VERSION`) are quarantined — moved aside, never served,
-    never silently deleted — and the artifact recompiles.
+    Corrupted pickles, wrong-generation envelopes (stale magic or
+    :data:`CODE_VERSION`), foreign globals and malformed columns are
+    quarantined — moved aside, never served, never silently deleted — and
+    the artifact recompiles.
     """
     with _paused_gc():
         return _store(cache_dir).load(key, _decode)
 
 
-def store_compiled(cache_dir: Path, key: str, artifact: Any) -> None:
+def store_compiled(cache_dir: Path, key: str, artifact: KernelTrace) -> None:
     """Atomically persist ``artifact`` under ``key`` (best-effort).
 
     A read-only or full cache directory degrades to recompilation, never
@@ -189,8 +234,8 @@ def store_compiled(cache_dir: Path, key: str, artifact: Any) -> None:
 def get_or_build(
     cache_dir: Optional[Path],
     key: str,
-    builder: Callable[[], Any],
-) -> Tuple[Any, str]:
+    builder: Callable[[], KernelTrace],
+) -> Tuple[KernelTrace, str]:
     """Load ``key`` from ``cache_dir`` or build and store it.
 
     Returns ``(artifact, source)`` with source ``"disk"`` on a cache hit

@@ -1,21 +1,27 @@
-"""Compiled warp code: the trace lowered into flat, replay-ready arrays.
+"""Compiled warp code: the trace lowered into flat, replay-ready columns.
 
 Trace-driven simulators get their throughput from compiling the trace once
 into a flat form the per-cycle loop can replay without touching the
 front-end object graph (Accel-Sim's SASS front-end does exactly this).
 :func:`compile_warp_trace` lowers one :class:`~repro.trace.WarpTrace` into
-a :class:`CompiledWarp`: parallel immutable tuples, indexed by the warp's
-existing trace cursor (``Warp.pc``), carrying everything the
-issue/operand/dispatch path reads per instruction —
+a :class:`CompiledWarp`: parallel immutable columns, indexed by the warp's
+trace cursor (``Warp.pc``), carrying everything the replay path — issue,
+operand collection, dispatch, memory access, tracing, sanitizing — reads
+per instruction:
 
+* the trace's own columns, shared not copied: ``ops`` (opcode ids),
+  ``dst_regs``, ``src_regs`` and the sparse ``mem`` rows
+  ``(base_address, num_lines, is_store)``;
 * the scoreboard *hazard mask* (one bit per architectural register; EXIT
   compiles to an all-ones mask because it waits for full drain) and the
   *destination bit* ``note_issue`` sets;
-* the functional-unit id (an index into the sub-core's pipeline list,
-  :data:`UNIT_INDEX`), and the ``reads_rf`` / ``num_src`` operand shape;
-* per-instruction flags (barrier / exit / memory);
-* the original :class:`~repro.isa.Instruction` objects, for the handoff
-  points that still want them (pipeline issue, memory access, tracing).
+* ``num_src`` (zero: the instruction bypasses the operand collector) and,
+  per opcode, the functional-unit id (an index into the sub-core's
+  pipeline list, :data:`UNIT_INDEX`), the barrier / exit / memory
+  ``flags``, ``latencies`` and ``intervals``.
+
+Columns of small integers are ``bytes`` (indexing one yields an ``int``,
+and the opcode-derived ones are a single ``bytes.translate`` of ``ops``).
 
 Bank pre-resolution is layered on top: :meth:`CompiledWarp.bank_table`
 returns a per-``(mapper, num_banks)`` table of source-operand bank tuples.
@@ -34,7 +40,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
-from ..isa import FuncUnit, Instruction, Opcode
+from ..isa import FuncUnit
+from .warp_trace import OPCODES, opcode_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel_trace import KernelTrace
@@ -49,17 +56,18 @@ F_BARRIER = 1
 F_EXIT = 2
 F_MEMORY = 4
 
-#: ``(unit id, flags)`` of every opcode, keyed by name: a ``str`` caches
-#: its hash, where an Enum member or ``OpcodeInfo`` key hashes in Python.
-_OPCODE_STATIC: Dict[str, Tuple[int, int]] = {
-    op.name: (
-        UNIT_INDEX[op.value.unit],
-        (F_BARRIER if op.value.is_barrier else 0)
-        | (F_EXIT if op.value.is_exit else 0)
-        | (F_MEMORY if op.value.is_memory else 0),
-    )
-    for op in Opcode
-}
+#: Opcode-id -> static property, as ``bytes.translate`` tables (so every
+#: latency and interval must fit a byte).
+_UNIT_IDS = opcode_table(lambda op: UNIT_INDEX[op.value.unit])
+_FLAGS = opcode_table(
+    lambda op: (F_BARRIER if op.value.is_barrier else 0)
+    | (F_EXIT if op.value.is_exit else 0)
+    | (F_MEMORY if op.value.is_memory else 0)
+)
+_LATENCIES = opcode_table(lambda op: op.value.latency)
+_INTERVALS = opcode_table(lambda op: op.value.initiation_interval)
+#: Mnemonic of each opcode id (``Enum.name`` is a descriptor call).
+_NAMES = tuple([op.name for op in OPCODES])
 
 BankMapper = Callable[[int, int, int], int]
 
@@ -108,25 +116,28 @@ class _BankTable:
         if row is None:
             # One mapper call per register the trace reads, then an index
             # per operand, unrolled over the operand counts an Instruction
-            # allows.  Every entry is a fresh tuple: entries shared between
-            # instructions would change the pickled artifact.
+            # allows.  Instructions whose operands fall in the same banks
+            # share one tuple.
             bank = {
                 r: self.mapper(r, warp_id, self.num_banks)
                 for r in set().union(*self._src_regs)
             }
+            shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+            intern = shared.setdefault
             entries = []
             for srcs in self._src_regs:
                 n = len(srcs)
                 if n == 3:
                     a, b, c = srcs
-                    entries.append((bank[a], bank[b], bank[c]))
+                    banks = (bank[a], bank[b], bank[c])
                 elif n == 2:
                     a, b = srcs
-                    entries.append((bank[a], bank[b]))
+                    banks = (bank[a], bank[b])
                 elif n == 1:
-                    entries.append((bank[srcs[0]],))
+                    banks = (bank[srcs[0]],)
                 else:
-                    entries.append(tuple([bank[r] for r in srcs]))
+                    banks = tuple([bank[r] for r in srcs])
+                entries.append(intern(banks, banks))
             row = tuple(entries)
             self._rows[key] = row
         return row
@@ -139,48 +150,75 @@ class _BankTable:
 
 
 class CompiledWarp:
-    """One warp trace, lowered to flat parallel tuples (see module doc)."""
+    """One warp trace, lowered to flat parallel columns (see module doc)."""
 
     __slots__ = (
-        "insts",
         "length",
+        "ops",
+        "dst_regs",
         "src_regs",
-        "hazard_masks",
-        "dst_bits",
-        "unit_ids",
-        "reads_rf",
+        "mem",
         "num_src",
+        "unit_ids",
         "flags",
+        "latencies",
+        "intervals",
+        "dst_bits",
+        "hazard_masks",
         "_bank_tables",
     )
 
-    def __init__(self, instructions: Tuple[Instruction, ...]):
-        # Column at a time: one comprehension per array costs a fraction of a
-        # single loop appending to six lists.
-        self.insts = instructions
-        self.length = len(instructions)
-        self.src_regs: Tuple[Tuple[int, ...], ...] = tuple(
-            [inst.src_regs for inst in instructions]
-        )
-        self.reads_rf = tuple([inst.reads_rf for inst in instructions])
-        self.num_src = tuple([inst.num_src for inst in instructions])
-        static = [_OPCODE_STATIC[inst.info.name] for inst in instructions]
-        self.unit_ids = tuple([unit for unit, _ in static])
-        self.flags = tuple([flags for _, flags in static])
-        self.dst_bits = tuple(
-            [0 if inst.dst_reg is None else 1 << inst.dst_reg for inst in instructions]
-        )
+    def __init__(self, trace: "WarpTrace"):
+        ops = self.ops = trace.ops
+        self.length = len(ops)
+        self.dst_regs = trace.dst_regs
+        src_regs = self.src_regs = trace.src_regs
+        self.mem = trace.mem
+        self.num_src = bytes(map(len, src_regs))
+        self.unit_ids = ops.translate(_UNIT_IDS)
+        self.flags = ops.translate(_FLAGS)
+        self.latencies = ops.translate(_LATENCIES)
+        self.intervals = ops.translate(_INTERVALS)
+        self.dst_bits = tuple([0 if d is None else 1 << d for d in trace.dst_regs])
         hazard_masks = []
-        for srcs, mask, flags in zip(self.src_regs, self.dst_bits, self.flags):
-            if flags & F_EXIT:
-                # EXIT waits for the whole scoreboard to drain.
-                mask = -1
-            else:
-                for r in srcs:
-                    mask |= 1 << r
+        for srcs, mask in zip(src_regs, self.dst_bits):
+            for r in srcs:
+                mask |= 1 << r
             hazard_masks.append(mask)
+        # EXIT (always last, and only there) waits for the whole scoreboard
+        # to drain.
+        hazard_masks[-1] = -1
         self.hazard_masks = tuple(hazard_masks)
         self._bank_tables: Dict[Tuple[BankMapper, int], _BankTable] = {}
+
+    def well_formed(self, trace: "WarpTrace") -> bool:
+        """Whether this has the structure of the lowering of ``trace``.
+
+        What the code cache checks of an unpickled artifact before serving
+        it: the trace's own columns, every column and bank row of one
+        length, an EXIT at the end, and each periodic bank table fully
+        prewarmed.
+        """
+        tables = list(self._bank_tables.values())
+        columns = [
+            self.ops, self.dst_regs, self.src_regs, self.num_src, self.unit_ids,
+            self.flags, self.latencies, self.intervals, self.dst_bits, self.hazard_masks,
+            *[row for table in tables for row in table._rows.values()],
+        ]
+        return (
+            (self.ops, self.dst_regs, self.src_regs, self.mem)
+            == (trace.ops, trace.dst_regs, trace.src_regs, trace.mem)
+            and {len(column) for column in columns} == {self.length}
+            and bool(self.flags[-1] & F_EXIT)
+            and bool(tables)
+            and all(
+                not t.period or sorted(t._rows) == list(range(t.period)) for t in tables
+            )
+        )
+
+    def opcode_name(self, pc: int) -> str:
+        """Mnemonic of the instruction at ``pc`` (tracer events)."""
+        return _NAMES[self.ops[pc]]
 
     def bank_table(self, mapper: BankMapper, num_banks: int) -> _BankTable:  # simcheck: hot-ok -- memoized per (mapper, banks); builds only on first miss
         key = (mapper, num_banks)
@@ -195,7 +233,7 @@ def compile_warp_trace(trace: "WarpTrace") -> CompiledWarp:
     """The compiled form of ``trace``, cached on the trace object."""
     code = getattr(trace, "_code", None)
     if code is None:
-        code = CompiledWarp(tuple(trace.instructions))
+        code = CompiledWarp(trace)
         trace._code = code  # type: ignore[attr-defined]
     return code
 

@@ -9,12 +9,11 @@ or CTAs other callers have generated.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from ..isa import Instruction, MemRef, Opcode
+from ..isa import Opcode
 from ..trace import CTATrace, KernelTrace, WarpTrace
+from ..trace.warp_trace import OPCODES
 from .profiles import AppProfile
 
 #: Cache-line size assumed by generated addresses.
@@ -25,11 +24,15 @@ HOT_LINES = 16
 #: Opcode of each instruction code ``build_warp_trace`` computes: the four
 #: memory/special kinds, then plain arithmetic by type and operand count.
 _STG, _LDG, _LDS, _MUFU, _HMMA, _ARITH_FP, _ARITH_INT = 0, 1, 2, 3, 4, 5, 8
-_OPCODES = (
-    Opcode.STG, Opcode.LDG, Opcode.LDS, Opcode.MUFU, Opcode.HMMA,
-    Opcode.FADD, Opcode.FMUL, Opcode.FFMA,
-    Opcode.SHF, Opcode.IADD, Opcode.IMAD,
-)
+_OPCODE_IDS = bytes(
+    OPCODES.index(op)
+    for op in (
+        Opcode.STG, Opcode.LDG, Opcode.LDS, Opcode.MUFU, Opcode.HMMA,
+        Opcode.FADD, Opcode.FMUL, Opcode.FFMA,
+        Opcode.SHF, Opcode.IADD, Opcode.IMAD,
+    )
+).ljust(256, b"\0")
+_BAR, _EXIT = (bytes([OPCODES.index(op)]) for op in (Opcode.BAR, Opcode.EXIT))
 
 
 def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> WarpTrace:
@@ -37,8 +40,8 @@ def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> Wa
 
     Every decision is a function of the bulk draws and the instruction
     index, so whole columns (opcode, destination, sources, address) are
-    computed array-wise; Python touches each instruction once, to
-    construct it.
+    computed array-wise and handed to the trace as they are: no
+    ``Instruction`` is built.
     """
     rng = np.random.default_rng((profile.seed, warp_index))
     p = profile
@@ -110,24 +113,29 @@ def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> Wa
     line[is_store] = (stream_line + index)[is_store]
     lines = np.where(streaming | is_store, p.coalesced_lines, 1)
 
-    opcodes = [_OPCODES[c] for c in code.tolist()]
+    # The trace's columns, closed by the optional barrier and the EXIT.
+    tail = (_BAR if p.barrier else b"") + _EXIT
+    ops = code.astype(np.uint8).tobytes().translate(_OPCODE_IDS) + tail
     dsts = dst.tolist()
+    for i in np.flatnonzero(is_store).tolist():
+        dsts[i] = None
     srcs = [tuple(row[:n]) for row, n in zip(src.tolist(), num_src.tolist())]
-    mems = [None] * num_insts
-    for i, address, count, store in zip(
-        np.flatnonzero(is_global).tolist(),
-        (line[is_global] * LINE_BYTES).tolist(),
-        lines[is_global].tolist(),
-        is_store[is_global].tolist(),
-    ):
-        mems[i] = MemRef(address, count, store)
-        if store:
-            dsts[i] = None
-
-    insts: List[Instruction] = list(map(Instruction, opcodes, dsts, srcs, mems))
-    if p.barrier:
-        insts.append(Instruction(Opcode.BAR))
-    return WarpTrace.from_instructions(insts)
+    mem = dict(
+        zip(
+            np.flatnonzero(is_global).tolist(),
+            zip(
+                (line[is_global] * LINE_BYTES).tolist(),
+                lines[is_global].tolist(),
+                is_store[is_global].tolist(),
+            ),
+        )
+    )
+    return WarpTrace.from_columns(
+        ops,
+        tuple(dsts + [None] * len(tail)),
+        tuple(srcs + [()] * len(tail)),
+        mem,
+    )
 
 
 def build_cta_trace(profile: AppProfile) -> CTATrace:

@@ -13,6 +13,8 @@ import pytest
 from repro.config import volta_v100
 from repro.gpu import simulate
 from repro.obs import stats_digest
+from repro.regalloc import get_mapping
+from repro.trace import TraceBuilder, compile_kernel, make_kernel
 from repro.workloads import (
     compiled_code_key,
     get_compiled_kernel,
@@ -22,6 +24,27 @@ from repro.workloads import registry
 
 APP = "rod-nw"
 LAYOUT = ("warp_swizzle", 2)
+
+
+def small_kernel():
+    """A two-warp kernel lowered for ``LAYOUT``: what ``store_compiled`` takes."""
+    warps = [
+        TraceBuilder().fma_chain(6).global_load(1, 0, 4096, 2).barrier().build(),
+        TraceBuilder().shared_load(2, 0).build(),
+    ]
+    kernel = make_kernel("small", warps, num_ctas=3)
+    compile_kernel(kernel, get_mapping(LAYOUT[0]), LAYOUT[1])
+    return kernel
+
+
+class _Reduces:
+    """Pickles as a call of ``fn(*args)``, the way a hostile file would."""
+
+    def __init__(self, fn, *args):
+        self.call = (fn, args)
+
+    def __reduce__(self):
+        return self.call
 
 
 @pytest.fixture(autouse=True)
@@ -163,17 +186,68 @@ class TestCorruptionQuarantine:
         notes = code_cache.drain_notes()
         assert notes and "wrong cache generation" in notes[0][1]
 
-    def test_envelope_written_by_the_parent_commit_is_a_hit(self, tmp_path):
+    def _rejected(self, tmp_path, payload: bytes, why: str):
+        """``payload`` under a key: not served, quarantined for ``why``, rebuilt."""
+        from repro.trace import code_cache
+
+        (tmp_path / "k.code.pkl").write_bytes(payload)
+        assert code_cache.load_compiled(tmp_path, "k") is None
+        assert (tmp_path / "quarantine" / "k.code.pkl").read_bytes() == payload
+        notes = code_cache.drain_notes()
+        assert [kind for kind, _ in notes] == ["cache_quarantine"] and why in notes[0][1]
+        assert code_cache.get_or_build(tmp_path, "k", small_kernel)[1] == "compile"
+        assert code_cache.get_or_build(tmp_path, "k", small_kernel)[1] == "disk"
+
+    def test_v1_envelope_is_quarantined(self, tmp_path):
+        import pickle
+
+        # What the previous generation's store_compiled wrote around its
+        # artifact; the key contains CODE_VERSION, so only a copied or
+        # renamed file can put one under a current key.
+        envelope = ("repro-code", 1, {"warps": [1, 2]})
+        self._rejected(tmp_path, pickle.dumps(envelope, protocol=4), "wrong cache generation")
+
+    def test_foreign_global_is_not_imported(self, tmp_path, monkeypatch):
+        import pickle
+        import subprocess
+
+        from repro.trace import code_cache
+
+        # A right-generation envelope whose artifact names a callable.
+        envelope = ("repro-code", code_cache.CODE_VERSION, _Reduces(subprocess.getoutput, "id"))
+        payload = pickle.dumps(envelope, protocol=4)
+        called = []
+        monkeypatch.setattr(subprocess, "getoutput", called.append)
+        assert pickle.loads(payload)[2] is None and called == ["id"]  # what pickle.load does
+        self._rejected(
+            tmp_path, payload, "subprocess.getoutput is not part of a trace artifact"
+        )
+        assert called == ["id"]
+
+    @pytest.mark.parametrize("column", ["flags", "hazard_masks", "num_src"])
+    def test_ragged_columns_are_quarantined(self, tmp_path, column):
+        import io
         import pickle
 
         from repro.trace import code_cache
 
-        # The bytes PR 12's store_compiled wrote, under its file name.
-        envelope = ("repro-code", code_cache.CODE_VERSION, {"warps": [1, 2]})
-        (tmp_path / "k.code.pkl").write_bytes(pickle.dumps(envelope, protocol=4))
-        assert code_cache.load_compiled(tmp_path, "k") == {"warps": [1, 2]}
-        assert code_cache.get_or_build(tmp_path, "k", dict) == ({"warps": [1, 2]}, "disk")
-        assert code_cache.drain_notes() == []
+        kernel = small_kernel()
+        code = kernel.ctas[0].warps[0]._code
+        setattr(code, column, getattr(code, column)[:-1])
+        payload = io.BytesIO()
+        pickle.dump(("repro-code", code_cache.CODE_VERSION, kernel), payload, protocol=4)
+        self._rejected(tmp_path, payload.getvalue(), "malformed compiled columns")
+
+    def test_missing_bank_rows_are_quarantined(self, tmp_path):
+        import pickle
+
+        from repro.trace import code_cache
+
+        kernel = small_kernel()
+        table = kernel.ctas[0].warps[0]._code.bank_table(get_mapping(LAYOUT[0]), LAYOUT[1])
+        del table._rows[1]
+        envelope = ("repro-code", code_cache.CODE_VERSION, kernel)
+        self._rejected(tmp_path, pickle.dumps(envelope, protocol=4), "malformed compiled columns")
 
     def test_store_io_errors_degrade_to_memory_once(self, tmp_path, monkeypatch):
         from repro import _store
@@ -182,13 +256,13 @@ class TestCorruptionQuarantine:
 
         monkeypatch.setattr(_store, "STORE_ERROR_THRESHOLD", 1)
         install_plan(single_fault_plan("io_error", "code_store", times=0))
-        code_cache.store_compiled(tmp_path, "k1", {"a": 1})
-        code_cache.store_compiled(tmp_path, "k2", {"a": 2})
+        code_cache.store_compiled(tmp_path, "k1", small_kernel())
+        code_cache.store_compiled(tmp_path, "k2", small_kernel())
         notes = code_cache.drain_notes()
         assert [kind for kind, _ in notes] == ["cache_degraded"]
         assert list(tmp_path.iterdir()) == []
         # reset_degradation re-arms the store path.
         clear_plan()
         code_cache.reset_degradation()
-        code_cache.store_compiled(tmp_path, "k1", {"a": 1})
-        assert code_cache.load_compiled(tmp_path, "k1") == {"a": 1}
+        code_cache.store_compiled(tmp_path, "k1", small_kernel())
+        assert code_cache.load_compiled(tmp_path, "k1").name == "small"

@@ -4,7 +4,18 @@ import pytest
 
 from repro.config import fully_connected, volta_v100
 from repro.core import ExecutionUnits, Pipeline
-from repro.isa import FuncUnit, Instruction, Opcode, fadd, ffma, iadd
+from repro.isa import FuncUnit, Opcode
+
+
+def issue(target, opcode, now):
+    """Issue one ``opcode`` instruction on a pipeline, or on the pipeline of
+    its unit: the static timing is all the execution model reads."""
+    pipe = target if isinstance(target, Pipeline) else target.pipelines[opcode.unit]
+    return pipe.issue(opcode.initiation_interval, opcode.latency, now)
+
+
+def can_accept(ex, opcode, now):
+    return ex.pipelines[opcode.unit].can_accept(now)
 
 
 class TestPipeline:
@@ -22,27 +33,27 @@ class TestPipeline:
 
     def test_issue_returns_completion(self):
         p = Pipeline(FuncUnit.FP32, lanes=16)
-        done = p.issue(fadd(0, 1, 2), now=10)
+        done = issue(p, Opcode.FADD, now=10)
         # interval 2 + FADD latency 4
         assert done == 16
 
     def test_port_busy_after_issue(self):
         p = Pipeline(FuncUnit.FP32, lanes=16)
         assert p.can_accept(0)
-        p.issue(fadd(0, 1, 2), now=0)
+        issue(p, Opcode.FADD, now=0)
         assert not p.can_accept(1)
         assert p.can_accept(2)
 
     def test_pooled_lanes_expose_multiple_ports(self):
         p = Pipeline(FuncUnit.FP32, lanes=64)
-        p.issue(fadd(0, 1, 2), now=0)
+        issue(p, Opcode.FADD, now=0)
         assert p.can_accept(0)  # second port still free
-        p.issue(fadd(0, 1, 2), now=0)
+        issue(p, Opcode.FADD, now=0)
         assert not p.can_accept(0)
 
     def test_stats(self):
         p = Pipeline(FuncUnit.FP32, lanes=16)
-        p.issue(fadd(0, 1, 2), now=0)
+        issue(p, Opcode.FADD, now=0)
         assert p.stats.issued == 1
         assert p.stats.busy_cycles == 2
 
@@ -50,34 +61,32 @@ class TestPipeline:
 class TestExecutionUnits:
     def test_routes_by_unit(self):
         ex = ExecutionUnits(volta_v100())
-        fp_done = ex.issue(fadd(0, 1, 2), now=0)
-        int_done = ex.issue(iadd(0, 1, 2), now=0)  # separate port: no conflict
+        fp_done = issue(ex, Opcode.FADD, now=0)
+        int_done = issue(ex, Opcode.IADD, now=0)  # separate port: no conflict
         assert fp_done == int_done == 6
 
     def test_fp_and_int_ports_independent(self):
         ex = ExecutionUnits(volta_v100())
-        ex.issue(fadd(0, 1, 2), now=0)
-        assert not ex.can_accept(fadd(0, 1, 2), now=0)
-        assert ex.can_accept(iadd(0, 1, 2), now=0)
+        issue(ex, Opcode.FADD, now=0)
+        assert not can_accept(ex, Opcode.FADD, now=0)
+        assert can_accept(ex, Opcode.IADD, now=0)
 
     def test_sfu_is_slow(self):
         ex = ExecutionUnits(volta_v100())
-        mufu = Instruction(Opcode.MUFU, dst_reg=0, src_regs=(1,))
-        done = ex.issue(mufu, now=0)
+        done = issue(ex, Opcode.MUFU, now=0)
         # 4 SFU lanes -> interval 8, latency 16
         assert done == 24
 
     def test_fc_tensor_throughput_scales(self):
         part = ExecutionUnits(volta_v100())
         fc = ExecutionUnits(fully_connected())
-        hmma = Instruction(Opcode.HMMA, dst_reg=0, src_regs=(1, 2, 3))
-        part.issue(hmma, now=0)
-        assert not part.can_accept(hmma, now=1)  # 8 lanes -> interval 4
-        fc.issue(hmma, now=0)
-        assert fc.can_accept(hmma, now=1)  # 32 lanes -> interval 1
+        issue(part, Opcode.HMMA, now=0)
+        assert not can_accept(part, Opcode.HMMA, now=1)  # 8 lanes -> interval 4
+        issue(fc, Opcode.HMMA, now=0)
+        assert can_accept(fc, Opcode.HMMA, now=1)  # 32 lanes -> interval 1
 
     def test_next_free_cycle(self):
         ex = ExecutionUnits(volta_v100())
         assert ex.next_free_cycle() == 0
-        ex.issue(fadd(0, 1, 2), now=0)
+        issue(ex, Opcode.FADD, now=0)
         assert ex.next_free_cycle() == 0  # other units idle

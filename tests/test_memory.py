@@ -1,6 +1,8 @@
 """Tests for the memory hierarchy: cache, MSHRs, DRAM, shared memory,
 coalescer and the composed subsystem."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,17 @@ from repro.memory import (
     build_dram,
     build_l2,
 )
+from repro.trace import WarpTrace, compile_warp_trace
+
+
+def mem_row(*args, **kwargs):
+    """A memory reference as traces store it: ``MemRef``'s fields, in order."""
+    return dataclasses.astuple(MemRef(*args, **kwargs))
+
+
+def compiled(inst):
+    """The compiled code of a trace holding ``inst`` at position 0."""
+    return compile_warp_trace(WarpTrace.from_instructions([inst]))
 
 
 def small_cache(**kw):
@@ -145,12 +158,12 @@ class TestSharedMemory:
 class TestCoalescer:
     def test_expansion(self):
         co = Coalescer(128)
-        reqs = co.expand(MemRef(base_address=256, num_lines=3))
+        reqs = co.expand(mem_row(base_address=256, num_lines=3))
         assert [r.line_address for r in reqs] == [2, 3, 4]
 
     def test_store_flag_propagates(self):
         co = Coalescer(128)
-        reqs = co.expand(MemRef(0, num_lines=2, is_store=True))
+        reqs = co.expand(mem_row(0, num_lines=2, is_store=True))
         assert all(r.is_store for r in reqs)
 
     def test_line_bytes_must_be_power_of_two(self):
@@ -164,29 +177,29 @@ class TestMemorySubsystem:
 
     def test_cold_miss_goes_to_dram(self):
         ms = self.make()
-        r = ms.access_global(MemRef(0, num_lines=1), now=0)
+        r = ms.access_global(mem_row(0, num_lines=1), now=0)
         assert r.l1_misses == 1 and r.l2_misses == 1
         assert r.completion_cycle > ms.config.memory.dram_latency
 
     def test_rereference_hits_l1(self):
         ms = self.make()
-        first = ms.access_global(MemRef(0, num_lines=1), now=0)
-        r = ms.access_global(MemRef(0, num_lines=1), now=first.completion_cycle + 1)
+        first = ms.access_global(mem_row(0, num_lines=1), now=0)
+        r = ms.access_global(mem_row(0, num_lines=1), now=first.completion_cycle + 1)
         assert r.l1_hits == 1 and r.l1_misses == 0
         assert r.completion_cycle <= first.completion_cycle + 1 + 2 * ms.l1.hit_latency
 
     def test_inflight_merge_is_faster_than_new_miss(self):
         ms = self.make()
-        first = ms.access_global(MemRef(0, num_lines=1), now=0)
-        merged = ms.access_global(MemRef(0, num_lines=1), now=1)
+        first = ms.access_global(mem_row(0, num_lines=1), now=0)
+        merged = ms.access_global(mem_row(0, num_lines=1), now=1)
         assert merged.completion_cycle <= first.completion_cycle + ms.l1.hit_latency
         assert ms.l1.stats.mshr_merges == 1
 
     def test_multi_line_serializes_on_l1_port(self):
         ms = self.make()
-        r1 = ms.access_global(MemRef(0, num_lines=1), now=0)
+        r1 = ms.access_global(mem_row(0, num_lines=1), now=0)
         ms2 = self.make()
-        r8 = ms2.access_global(MemRef(0, num_lines=8), now=0)
+        r8 = ms2.access_global(mem_row(0, num_lines=8), now=0)
         assert r8.completion_cycle > r1.completion_cycle
 
     def test_l2_shared_between_sms(self):
@@ -194,9 +207,9 @@ class TestMemorySubsystem:
         l2, dram = build_l2(cfg.memory), build_dram(cfg.memory)
         a = MemorySubsystem(cfg, l2=l2, dram=dram)
         b = MemorySubsystem(cfg, l2=l2, dram=dram)
-        ra = a.access_global(MemRef(0, num_lines=1), now=0)
+        ra = a.access_global(mem_row(0, num_lines=1), now=0)
         # SM b misses its own L1 but hits the shared L2 once the line landed
-        rb = b.access_global(MemRef(0, num_lines=1), now=ra.completion_cycle + 1)
+        rb = b.access_global(mem_row(0, num_lines=1), now=ra.completion_cycle + 1)
         assert rb.l2_hits == 1
 
     def test_shared_access_uses_conflict_degree(self):
@@ -208,15 +221,15 @@ class TestMemorySubsystem:
     def test_access_dispatches_by_opcode(self):
         ms = self.make()
         ld = Instruction(Opcode.LDG, dst_reg=1, src_regs=(0,), mem=MemRef(0))
-        t = ms.access(ld, now=0)
+        t = ms.access(compiled(ld), 0, now=0)
         assert t > 0
         lds = Instruction(Opcode.LDS, dst_reg=1, src_regs=(0,))
-        assert ms.access(lds, now=0) == ms.shared.latency
+        assert ms.access(compiled(lds), 0, now=0) == ms.shared.latency
 
     def test_access_rejects_non_memory(self):
         ms = self.make()
         with pytest.raises(ValueError):
-            ms.access(Instruction(Opcode.FADD, dst_reg=0, src_regs=(1,)), now=0)
+            ms.access(compiled(Instruction(Opcode.FADD, dst_reg=0, src_regs=(1,))), 0, now=0)
 
 
 @given(
@@ -226,9 +239,9 @@ class TestMemorySubsystem:
 @settings(max_examples=40, deadline=None)
 def test_property_completion_monotonic_with_issue_time(lines, base):
     ms = MemorySubsystem(volta_v100())
-    early = ms.access_global(MemRef(base * 128, num_lines=lines), now=0)
+    early = ms.access_global(mem_row(base * 128, num_lines=lines), now=0)
     ms2 = MemorySubsystem(volta_v100())
-    late = ms2.access_global(MemRef(base * 128, num_lines=lines), now=500)
+    late = ms2.access_global(mem_row(base * 128, num_lines=lines), now=500)
     assert late.completion_cycle >= early.completion_cycle
     assert early.completion_cycle >= lines - 1
 

@@ -7,8 +7,9 @@ from repro.isa import fadd, ffma
 from repro.trace import CTATrace, WarpTrace
 
 
-def dummy_warp():
-    tr = WarpTrace.from_instructions([fadd(0, 1, 2)])
+def dummy_warp(inst=fadd(0, 1, 2)):
+    """A warp whose trace cursor sits on ``inst`` (what a CU allocation takes)."""
+    tr = WarpTrace.from_instructions([inst])
     cta = ThreadBlock(0, CTATrace([tr]), regs=1024, shared_mem=0)
     w = Warp(0, cta, tr, subcore_id=0, age=0)
     cta.add_warp(w)
@@ -19,7 +20,7 @@ class TestCollectorUnit:
     def test_lifecycle(self):
         cu = CollectorUnit(0)
         assert cu.free and not cu.ready
-        cu.allocate(dummy_warp(), ffma(0, 1, 2, 3), cycle=5)
+        cu.allocate(dummy_warp(ffma(0, 1, 2, 3)), cycle=5)
         assert not cu.free and not cu.ready
         assert cu.pending_operands == 3
         for _ in range(3):
@@ -30,13 +31,13 @@ class TestCollectorUnit:
 
     def test_double_allocation_rejected(self):
         cu = CollectorUnit(0)
-        cu.allocate(dummy_warp(), fadd(0, 1, 2), cycle=0)
+        cu.allocate(dummy_warp(), cycle=0)
         with pytest.raises(RuntimeError):
-            cu.allocate(dummy_warp(), fadd(0, 1, 2), cycle=0)
+            cu.allocate(dummy_warp(), cycle=0)
 
     def test_extra_grant_rejected(self):
         cu = CollectorUnit(0)
-        cu.allocate(dummy_warp(), fadd(0, 1, 2), cycle=0)
+        cu.allocate(dummy_warp(), cycle=0)
         cu.operand_granted()
         cu.operand_granted()
         with pytest.raises(RuntimeError):
@@ -46,14 +47,14 @@ class TestCollectorUnit:
         cu = CollectorUnit(0)
         from repro.isa import Instruction, Opcode
 
-        cu.allocate(dummy_warp(), Instruction(Opcode.NOP), cycle=0)
+        cu.allocate(dummy_warp(Instruction(Opcode.NOP)), cycle=0)
         assert cu.ready
 
 
 class TestArbitrationUnit:
     def make_cu_with_requests(self, arb, banks):
         cu = CollectorUnit(0)
-        cu.allocate(dummy_warp(), ffma(0, 1, 2, 3), cycle=0)
+        cu.allocate(dummy_warp(ffma(0, 1, 2, 3)), cycle=0)
         cu.pending_operands = len(banks)
         for b in banks:
             arb.request(cu, b)

@@ -15,7 +15,6 @@ from repro.analysis import InvariantViolation, Sanitizer
 from repro.analysis.smoke import run_smoke_grid
 from repro.config import volta_v100
 from repro.gpu import GPU, simulate
-from repro.isa import Instruction, Opcode
 
 from .conftest import simple_kernel
 
@@ -187,8 +186,7 @@ def test_undrained_collector_unit_raises_at_end(sanitized_config):
     gpu, _ = _clean_run(sanitized_config)
     sm = gpu.sms[0]
     cu = sm.subcores[0].collector_units[0]
-    cu.warp = SimpleNamespace(warp_id=0)
-    cu.instruction = Instruction(Opcode.FADD, dst_reg=4, src_regs=(0, 1))
+    cu.warp = SimpleNamespace(warp_id=0)  # a CU is occupied when it has a warp
     with pytest.raises(InvariantViolation) as exc_info:
         sm.sanitizer.end_of_kernel(sm, now=gpu.now)
     exc = exc_info.value

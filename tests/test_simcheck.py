@@ -35,6 +35,10 @@ from repro.analysis.sarif import sarif_report
 CONTRACT_STUBS = {
     "trace/code_cache.py": "CODE_VERSION = 1\n",
     "trace/compiled.py": "F_EXIT = 2\n",
+    "trace/warp_trace.py": "OPCODES = ()\n",
+    "trace/kernel_trace.py": "WARP_SIZE = 32\n",
+    "isa/opcodes.py": "MAX_SRC_OPERANDS = 3\n",
+    "regalloc/bank_mapping.py": "MAPPINGS = {}\n",
     "workloads/profiles.py": "PROFILE_VERSION = 1\n",
     "workloads/synth.py": "SYNTH = 1\n",
     "experiments/engine.py": "CACHE_SCHEMA = 1\n",

@@ -19,32 +19,31 @@ def make_warp(instrs, warp_id=0, cta=None):
 class TestScoreboard:
     def test_raw_hazard(self):
         w = make_warp([fadd(0, 1, 2), fadd(3, 0, 1)])
-        inst = w.next_instruction
-        w.note_issue(inst)  # writes R0
+        w.note_issue()  # writes R0
         assert 0 in w.pending_writes
         assert w.state is WarpState.BLOCKED  # next reads R0
 
     def test_waw_hazard(self):
         w = make_warp([fadd(0, 1, 2), fadd(0, 3, 4)])
-        w.note_issue(w.next_instruction)
+        w.note_issue()
         assert w.state is WarpState.BLOCKED
 
     def test_independent_instruction_stays_ready(self):
         w = make_warp([fadd(0, 1, 2), fadd(3, 4, 5)])
-        w.note_issue(w.next_instruction)
+        w.note_issue()
         assert w.state is WarpState.READY
 
     def test_writeback_unblocks(self):
         w = make_warp([fadd(0, 1, 2), fadd(3, 0, 1)])
-        w.note_issue(w.next_instruction)
+        w.note_issue()
         w.complete_write(0)
         assert w.state is WarpState.READY
         assert not w.pending_writes
 
     def test_unrelated_writeback_keeps_blocked(self):
         w = make_warp([fadd(0, 1, 2), fadd(5, 6, 7), fadd(3, 0, 1)])
-        w.note_issue(w.next_instruction)   # writes R0
-        w.note_issue(w.next_instruction)   # writes R5, next reads R0
+        w.note_issue()   # writes R0
+        w.note_issue()   # writes R5, next reads R0
         assert w.state is WarpState.BLOCKED
         w.complete_write(5)
         assert w.state is WarpState.BLOCKED
@@ -54,7 +53,7 @@ class TestScoreboard:
     def test_pc_advances(self):
         w = make_warp([fadd(0, 1, 2), fadd(3, 4, 5)])
         assert w.pc == 0
-        w.note_issue(w.next_instruction)
+        w.note_issue()
         assert w.pc == 1
         assert w.issued_instructions == 1
 
@@ -71,7 +70,7 @@ class TestReadyPoolSync:
         w = make_warp([fadd(0, 1, 2), fadd(3, 0, 1)])
         w.ready_pool = pool
         pool[w] = None
-        w.note_issue(w.next_instruction)
+        w.note_issue()
         assert w not in pool  # blocked on R0
         w.complete_write(0)
         assert w in pool
@@ -122,7 +121,7 @@ class TestBarrierProtocol:
         cta.arrive_at_barrier(warps[1])
         # everyone released; second barrier must hold again
         for w in warps:
-            w.note_issue(w.next_instruction)
+            w.note_issue()
         assert cta.arrive_at_barrier(warps[0]) == []
         assert set(cta.arrive_at_barrier(warps[1])) == set(warps)
 

@@ -78,7 +78,7 @@ class TestRBA:
         # Load bank 0 with pending requests.
         cu = CollectorUnit(0)
         warps_for_cu = make_warps([[ffma(4, 0, 2, 4)]])
-        cu.allocate(warps_for_cu[0], ffma(4, 0, 2, 4), cycle=0)
+        cu.allocate(warps_for_cu[0], cycle=0)
         arb.request(cu, 0)
         arb.request(cu, 0)
         # warp A reads bank 0 (even regs); warp B reads bank 1 (odd regs).
@@ -95,7 +95,7 @@ class TestRBA:
         sched, arb, _ = scheduler_pair(RBAScheduler)
         cu = CollectorUnit(0)
         filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
-        cu.allocate(filler, ffma(4, 0, 2, 4), cycle=0)
+        cu.allocate(filler, cycle=0)
         arb.request(cu, 0)
         arb.request(cu, 1)
         reader, barrier_warp = make_warps(
@@ -111,7 +111,7 @@ class TestRBA:
         cu = CollectorUnit(0)
         filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
         arb.queue_lengths(0)  # take the t=0 snapshot first
-        cu.allocate(filler, ffma(4, 0, 2, 4), cycle=0)
+        cu.allocate(filler, cycle=0)
         arb.request(cu, 0)
         arb.request(cu, 0)
         wa, wb = make_warps([[fadd(9, 0, 2)], [fadd(9, 1, 3)]])
@@ -123,7 +123,7 @@ class TestBankStealing:
         sched, arb, rf = scheduler_pair(BankStealingScheduler)
         cu = CollectorUnit(0)
         filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
-        cu.allocate(filler, ffma(4, 0, 2, 4), cycle=0)
+        cu.allocate(filler, cycle=0)
         arb.request(cu, 0)  # bank 0 busy, bank 1 idle
         even_warp, odd_warp = make_warps([[fadd(9, 0, 2)], [fadd(9, 1, 3)]])
         assert sched.steal_candidate([even_warp, odd_warp], now=0) is odd_warp
@@ -132,7 +132,7 @@ class TestBankStealing:
         sched, arb, _ = scheduler_pair(BankStealingScheduler)
         cu = CollectorUnit(0)
         filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
-        cu.allocate(filler, ffma(4, 0, 2, 4), cycle=0)
+        cu.allocate(filler, cycle=0)
         arb.request(cu, 0)
         arb.request(cu, 1)
         warps = make_warps([[fadd(9, 0, 2)]])
