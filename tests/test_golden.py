@@ -8,6 +8,8 @@ touching the timing model, it introduced nondeterminism or an accidental
 behavioural change.
 """
 
+import hashlib
+
 import pytest
 
 from repro import (
@@ -18,6 +20,10 @@ from repro import (
     srr,
     volta_v100,
 )
+from repro.experiments.designs import get_design
+from repro.obs import Tracer
+from repro.obs.chrome_trace import iter_jsonl
+from repro.obs.manifest import stats_digest
 from repro.trace import TraceBuilder, make_kernel
 from repro.workloads import fma_microbenchmark, get_kernel
 
@@ -51,8 +57,7 @@ class TestGoldenApps:
         assert cycles(get_kernel("rod-nw"), volta_v100()) == 16156
 
     def test_pb_stencil_fully_connected(self):
-        k = get_kernel("pb-stencil")
-        assert cycles(k, fully_connected()) == cycles(k, fully_connected())
+        assert cycles(get_kernel("pb-stencil"), fully_connected()) == 18439
 
 
 class TestGoldenPipeline:
@@ -80,3 +85,56 @@ class TestGoldenPipeline:
         )
         # 8 warps x (64 FMA + BAR + EXIT)
         assert stats.instructions == 8 * 66
+
+
+#: ``stats_digest`` of the designs no digest-checked grid drives: the
+#: bank-stealing pass, the multi-slot issue loop of the fully-connected SM,
+#: two-level selection and delayed RBA scores, with stall attribution off
+#: and on, ``num_sms=1``.  Generated on the commit before ``repro.core`` was
+#: de-twinned (one copy of each cycle-loop step); a moved digest means the
+#: model changed.
+DESIGN_DIGESTS = [
+    ("bank_stealing", "cg-lou", False, "a7610adcc766a5fc"),
+    ("bank_stealing", "cg-lou", True, "201b02b2ee1c152a"),
+    ("bank_stealing", "tpcU-q8", False, "319cd1aa8d2a7895"),
+    ("bank_stealing", "tpcU-q8", True, "d896381ce15b9358"),
+    ("two_level", "cg-lou", False, "7dbc7f458ed87067"),
+    ("two_level", "cg-lou", True, "c76606db4fb77495"),
+    ("two_level", "tpcU-q8", False, "1315868cf04ca45d"),
+    ("two_level", "tpcU-q8", True, "bf0b178842faa965"),
+    ("fully_connected", "cg-lou", False, "306716b5bdac101d"),
+    ("fully_connected", "cg-lou", True, "52f3a90c370b7686"),
+    ("fully_connected", "tpcU-q8", False, "5ca8e4fbebc3b800"),
+    ("fully_connected", "tpcU-q8", True, "7ba315ac9dfe87e4"),
+    ("fc_rba", "cg-lou", False, "22b855afdd4e7b4b"),
+    ("fc_rba", "cg-lou", True, "f4144d05ede3ee17"),
+    ("fc_rba", "tpcU-q8", False, "e40b8c281489a763"),
+    ("fc_rba", "tpcU-q8", True, "1509e34758046051"),
+    ("rba_lat20", "cg-lou", False, "0c2b95a99ee8d327"),
+    ("rba_lat20", "cg-lou", True, "d4ee2903b8f72ed3"),
+    ("rba_lat20", "tpcU-q8", False, "f16582449ec3081f"),
+    ("rba_lat20", "tpcU-q8", True, "247e4b3ef68893d1"),
+]
+
+
+class TestGoldenDesignDigests:
+    @pytest.mark.parametrize("design,app,attribution,digest", DESIGN_DIGESTS)
+    def test_stats_digest(self, design, app, attribution, digest):
+        cfg = get_design(design).replace(stall_attribution=attribution)
+        stats = simulate(get_kernel(app), cfg, num_sms=1)
+        assert stats_digest(stats.to_payload()) == digest
+        if design == "bank_stealing":
+            assert sum(sm.steals for sm in stats.sms) > 0
+
+    def test_bank_stealing_event_stream(self):
+        # The steal pass emits warp_issue events too; the exported stream
+        # pins which events it emits and in what order.
+        tracer = Tracer()
+        simulate(get_kernel("cg-lou"), get_design("bank_stealing"), num_sms=1, tracer=tracer)
+        sha = hashlib.sha256()
+        for line in iter_jsonl(tracer):
+            sha.update(line.encode("utf-8") + b"\n")
+        assert len(tracer) == 82828
+        assert sha.hexdigest() == (
+            "205c80186b6811fbb6ee911a738b7c3e132b54b59261338c1c8edcaac3d706ea"
+        )
