@@ -9,7 +9,9 @@ sanitizer's read-only contract).
 The default grid crosses three workloads that exercise different model
 paths (a barrier-free graph kernel, a shared-memory GEMM, a TPC-H
 compressed-stream query) with the three assignment/scheduling designs the
-paper's figures lean on ({RR baseline, SRR, RBA}).
+paper's figures lean on ({RR baseline, SRR, RBA}) and the two designs that
+run the sub-core's other issue paths (bank stealing's post-issue steal
+pass, the fully-connected SM's multi-slot issue loop).
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ from typing import List, Sequence, Tuple
 #: pressure, no barriers), pb-sgemm (shared memory + barriers), tpcU-q8
 #: (the paper's imbalanced TPC-H shape).
 DEFAULT_APPS: Tuple[str, ...] = ("cg-lou", "pb-sgemm", "tpcU-q8")
-#: RR baseline, skewed round-robin assignment, register-bank-aware issue.
-DEFAULT_DESIGNS: Tuple[str, ...] = ("baseline", "srr", "rba")
+#: RR baseline, skewed round-robin assignment, register-bank-aware issue,
+#: the steal pass, and issue_width > 1.
+DEFAULT_DESIGNS: Tuple[str, ...] = (
+    "baseline", "srr", "rba", "bank_stealing", "fully_connected",
+)
 
 
 @dataclass
@@ -46,13 +51,13 @@ class SmokeReport:
 
     def summary(self) -> str:
         lines = [
-            f"{'app':<10} {'design':<10} {'cycles':>9} {'instructions':>13} "
+            f"{'app':<10} {'design':<16} {'cycles':>9} {'instructions':>13} "
             f"{'checks':>8}  stats"
         ]
         for p in self.points:
             verdict = "byte-identical" if p.bytes_identical else "DIVERGED"
             lines.append(
-                f"{p.app:<10} {p.design:<10} {p.cycles:>9} "
+                f"{p.app:<10} {p.design:<16} {p.cycles:>9} "
                 f"{p.instructions:>13} {p.checks_run:>8}  {verdict}"
             )
         status = "OK" if self.ok else "FAILED"

@@ -16,6 +16,11 @@ the list is recycled (``clear`` + cursor reset) the moment it drains — the
 steady state appends into a list that already has capacity, avoiding
 per-request allocation on the hot path.  Queue length is always
 ``len(queue) - head``.
+
+Enqueue is done by the issue path (``SubCore._issue_warp``): one
+``queues[bank].append(cu)`` per source operand and ``pending += num_src``.
+Duplicate registers of one instruction enqueue separately, matching the
+paper's scoring example (two operands in bank 0 count twice).
 """
 
 from __future__ import annotations
@@ -76,17 +81,6 @@ class ArbitrationUnit:
         self.pending = 0
         self._history.clear()
         self._history.append((-1, [0] * self.num_banks))
-
-    # -- enqueue ---------------------------------------------------------------
-
-    def request(self, cu: CollectorUnit, bank: int) -> None:
-        """Queue one operand read for ``cu`` on ``bank``.
-
-        Duplicate registers of one instruction enqueue separately, matching
-        the paper's scoring example (two operands in bank 0 count twice).
-        """
-        self.queues[bank].append(cu)
-        self.pending += 1
 
     # -- per-cycle arbitration ---------------------------------------------------
 
@@ -188,11 +182,6 @@ class ArbitrationUnit:
         while len(hist) > 1 and hist[1][0] <= target:
             hist.popleft()
         return hist[0][1] if hist[0][0] <= target else [0] * self.num_banks
-
-    def score(self, banks: Tuple[int, ...], now: int) -> int:
-        """RBA score: summed visible queue length over operand banks."""
-        lengths = self.queue_lengths(now)
-        return sum(lengths[b] for b in banks)
 
     def bank_idle(self, bank: int) -> bool:
         """True when a bank's queue is empty (a bank-stealing opportunity)."""

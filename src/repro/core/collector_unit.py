@@ -5,7 +5,9 @@ its compiled code — while its source operands are read from the
 register-file banks (Fig. 2).  An operand entry is *pending* until the
 arbitration unit grants its bank read; when no entries are pending the CU
 is ready to dispatch to an execution unit.  A CU is occupied exactly when
-it has a warp.
+it has a warp.  The sub-core allocates a CU at issue
+(``SubCore._issue_warp``) and releases it at dispatch
+(``SubCore.dispatch_ready_cus``) by writing the slots directly.
 """
 
 from __future__ import annotations
@@ -43,34 +45,10 @@ class CollectorUnit:
     def free(self) -> bool:
         return self.warp is None
 
-    @property
-    def ready(self) -> bool:
-        """All operands collected; instruction awaiting dispatch."""
-        return self.warp is not None and self.pending_operands == 0
-
-    def allocate(
-        self, warp: "Warp", cycle: int, pipe: Optional["Pipeline"] = None
-    ) -> None:
-        """Take the instruction at ``warp``'s trace cursor."""
-        if not self.free:
-            raise RuntimeError(f"CU {self.cu_id} double allocation")
-        self.warp = warp
-        self.pc = warp.pc
-        self.pipe = pipe
-        self.pending_operands = warp.code.num_src[warp.pc]
-        self.allocated_cycle = cycle
-
     def operand_granted(self) -> None:
         if self.pending_operands <= 0:
             raise RuntimeError(f"CU {self.cu_id} grant with no pending operands")
         self.pending_operands -= 1
-
-    def release(self) -> None:
-        self.warp = None
-        self.pc = -1
-        self.pipe = None
-        self.pending_operands = 0
-        self.allocated_cycle = -1
 
     # -- tracer hook ---------------------------------------------------------
 
@@ -79,8 +57,8 @@ class CollectorUnit:
 
         The tracer turns this into one span event per dispatched
         instruction, so collector-unit occupancy (the Fig. 12 quantity)
-        reads directly off the exported timeline.  Call before
-        :meth:`release` — releasing resets ``allocated_cycle``.
+        reads directly off the exported timeline.  Call before the CU is
+        released — releasing resets ``allocated_cycle``.
         """
         return self.allocated_cycle, max(1, now - self.allocated_cycle)
 

@@ -6,8 +6,9 @@ interval* — the larger of the opcode's own interval and the lane-width
 factor ``ceil(32 / lanes)`` (16 FP32 lanes per Volta sub-core mean an FP32
 warp instruction occupies the port for 2 cycles).
 
-Dispatch returns the writeback cycle.  Global memory instructions get their
-completion time from the memory subsystem instead of a fixed latency.
+A pipeline is state only — port release cycles and counters; the
+sub-core's dispatch tail (``SubCore._execute_on``) books the port and
+resolves the writeback cycle.
 """
 
 from __future__ import annotations
@@ -62,28 +63,6 @@ class Pipeline:
         for i in range(len(ports)):
             ports[i] = 0
 
-    def can_accept(self, now: int) -> bool:
-        ports = self.port_free
-        free = ports[0] if self.single else min(ports)
-        return free <= now
-
-    def issue(self, initiation_interval: int, latency: int, now: int) -> int:
-        """Occupy the freest port; return the execution-complete cycle.
-
-        ``initiation_interval`` and ``latency`` are the instruction's own
-        (``CompiledWarp.intervals`` / ``latencies``).
-        """
-        interval = max(initiation_interval, self.lane_interval)
-        ports = self.port_free
-        if self.single:
-            ports[0] = now + interval
-        else:
-            idx = min(range(len(ports)), key=ports.__getitem__)
-            ports[idx] = now + interval
-        self.stats.issued += 1
-        self.stats.busy_cycles += interval
-        return now + interval + latency
-
 
 class ExecutionUnits:
     """The pipeline set of one scheduler domain (sub-core or monolithic SM)."""
@@ -105,7 +84,3 @@ class ExecutionUnits:
     def begin_run(self) -> None:
         for pipe in self.pipelines.values():
             pipe.begin_run()
-
-    def next_free_cycle(self) -> int:
-        """Earliest cycle any busy port frees (for fast-forward)."""
-        return min(min(p.port_free) for p in self.pipelines.values())

@@ -2,9 +2,9 @@
 
 On a partitioned SM each sub-core owns ``rf_banks_per_subcore`` banks
 (two, on Volta); a fully-connected SM pools all banks into one slice.  The
-slice's job in the timing model is bank *mapping* — translating an
-instruction's architectural operands into the banks whose arbitration
-queues the reads join — and write-port accounting.
+slice's job in the timing model is bank *mapping* — it names the mapper
+and bank count from which each warp's pre-resolved source-bank rows are
+built (``Warp.set_bank_view``) — and read/write accounting.
 
 Writebacks use a dedicated write port per bank and therefore never steal
 read bandwidth; the paper's bottleneck is the read-operand stage.
@@ -12,9 +12,6 @@ read bandwidth; the paper's bottleneck is the read-operand stage.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from ..isa import Instruction
 from ..regalloc import BankMapper, get_mapping
 
 
@@ -30,19 +27,6 @@ class RegisterFile:
         )
         self.reads = 0
         self.writes = 0
-
-    def bank_of(self, reg: int, warp_id: int) -> int:
-        return self.mapper(reg, warp_id, self.num_banks)
-
-    def src_banks(self, inst: Instruction, warp_id: int) -> Tuple[int, ...]:
-        """Banks of each source operand (duplicates preserved)."""
-        return tuple(self.mapper(r, warp_id, self.num_banks) for r in inst.src_regs)
-
-    def note_reads(self, count: int) -> None:
-        self.reads += count
-
-    def note_write(self) -> None:
-        self.writes += 1
 
     # -- sanitizer hook ------------------------------------------------------
 

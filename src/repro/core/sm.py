@@ -183,9 +183,6 @@ class StreamingMultiprocessor:
 
     # -- callbacks from sub-cores ------------------------------------------------
 
-    def note_issue(self, subcore_id: int) -> None:
-        self.total_instructions += 1
-
     def warp_at_barrier(self, warp: Warp) -> None:
         warp.cta.arrive_at_barrier(warp)
 
@@ -199,9 +196,6 @@ class StreamingMultiprocessor:
     def memory_access(self, warp: Warp, pc: int, now: int) -> int:
         """Completion cycle of ``warp``'s memory instruction at ``pc``."""
         return self.memory.access(warp.code, pc, now, warp.cta.shared_conflict_degree)
-
-    def schedule_writeback(self, cycle: int, warp: Warp, reg: int) -> None:
-        heapq.heappush(self._wb_heap, (cycle, next(self._seq), warp, reg))
 
     # -- simulation --------------------------------------------------------------
 
@@ -261,10 +255,10 @@ class StreamingMultiprocessor:
                 if sc.stall_cycles is not None:
                     sc._attribute_stall(sc._stall_reason(), sc._issue_width, now)
         for sc in subcores:
+            # Collect: one grant round, reads accounted to the RF slice.
             # With no queued reads grant_cycle is a no-op (the delayed-RBA
             # history dedupes unchanged all-zero snapshots), so the call is
-            # skipped outright.  collect_operands is inlined: one grant
-            # round, reads accounted to the RF slice.
+            # skipped outright.
             if sc.arbitration.pending:
                 got = sc.arbitration.grant_cycle(now)
                 if got:

@@ -24,7 +24,7 @@ boundary), so a conflict-free instruction occupies its CU for one cycle.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Collection, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Collection, Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..config import GPUConfig
 from ..isa import FuncUnit
@@ -160,15 +160,14 @@ class SubCore:
     def dispatch_ready_cus(self, now: int) -> None:
         """Phase 1: send fully-collected instructions to execution.
 
-        One of the two busiest loops in the simulator, so the delegate
-        calls are flattened: ``Pipeline.issue``, the writeback scheduling
-        of ``_execute_on`` and ``CollectorUnit.release`` are inlined, and
-        the scan stops after the last occupied CU (``remaining``).
+        A CU whose operands are all collected dispatches through
+        :meth:`_execute_on` once a port of its pipeline is free, and is
+        released here; the scan stops after the last occupied CU
+        (``remaining``).
         """
         remaining = self._busy_cus
         if not remaining:
             return
-        sm = self.sm
         for cu in self.collector_units:
             warp = cu.warp
             if warp is None:
@@ -178,40 +177,18 @@ class SubCore:
                 assert pipe is not None
                 ports = pipe.port_free
                 if (ports[0] if pipe.single else min(ports)) <= now:
-                    code = warp.code
                     pc = cu.pc
                     if self.tracer is not None:
                         start, dur = cu.occupancy_span(now)
                         self.tracer.cu_span(
-                            start, sm.sm_id, self.subcore_id, cu.cu_id,
-                            warp.warp_id, code.opcode_name(pc), dur,
+                            start, self.sm.sm_id, self.subcore_id, cu.cu_id,
+                            warp.warp_id, warp.code.opcode_name(pc), dur,
                         )
-                    # Inlined Pipeline.issue ...
-                    interval = code.intervals[pc]
-                    if pipe.lane_interval > interval:
-                        interval = pipe.lane_interval
-                    if pipe.single:
-                        ports[0] = now + interval
-                    else:
-                        idx = min(range(len(ports)), key=ports.__getitem__)
-                        ports[idx] = now + interval
-                    pstats = pipe.stats
-                    pstats.issued += 1
-                    pstats.busy_cycles += interval
-                    # ... and _execute_on's completion/writeback tail ...
-                    t_done = now + interval + code.latencies[pc]
-                    if code.flags[pc] & F_MEMORY:
-                        t_done = sm.memory_access(warp, pc, t_done)
-                    dst = code.dst_regs[pc]
-                    if dst is not None:
-                        self.register_file.writes += 1
-                        # Inlined SM.schedule_writeback.
-                        heappush(sm._wb_heap, (t_done, next(sm._seq), warp, dst))
-                    # ... and CollectorUnit.release.
+                    self._execute_on(pipe, warp, pc, now)
+                    # Release the CU (pending_operands is already 0).
                     cu.warp = None
                     cu.pc = -1
                     cu.pipe = None
-                    cu.pending_operands = 0
                     cu.allocated_cycle = -1
                     self._busy_cus -= 1
             remaining -= 1
@@ -294,26 +271,23 @@ class SubCore:
                 )
 
         # Bank-stealing pass: fill a still-free CU with a warp whose
-        # operands sit in idle banks (Jing et al. [36]).
-        if self._steals_banks:
-            free_cu = self._free_cu()
-            if free_cu is not None:
-                skip: Collection[Warp] = issued_warps or ()
-                candidates = [  # simcheck: hot-ok -- bank-stealing policy only; the pass inherently materializes its candidate pool
-                    w
-                    for w in self.ready
-                    if w not in skip and w.code.num_src[w.pc]
-                ]
-                victim = (
-                    self.scheduler.steal_candidate(candidates, now)
-                    if candidates
-                    else None
-                )
-                if victim is not None:
-                    self._allocate_cu(free_cu, victim, now)
-                    self._post_issue(victim, now)
-                    self.steals += 1
-                    issued += 1
+        # operands sit in idle banks (Jing et al. [36]).  Candidates have
+        # register sources, so _issue_warp takes the free CU.
+        if self._steals_banks and self._busy_cus < len(self.collector_units):
+            skip: Collection[Warp] = issued_warps or ()
+            candidates = [  # simcheck: hot-ok -- bank-stealing policy only; the pass inherently materializes its candidate pool
+                w
+                for w in self.ready
+                if w not in skip and w.code.num_src[w.pc]
+            ]
+            victim = (
+                self.scheduler.steal_candidate(candidates, now)
+                if candidates
+                else None
+            )
+            if victim is not None and self._issue_warp(victim, now):
+                self.steals += 1
+                issued += 1
         return issued
 
     # -- stall attribution (repro.obs) ---------------------------------------
@@ -392,16 +366,13 @@ class SubCore:
 
     # -- issue helpers ------------------------------------------------------------
 
-    def _free_cu(self) -> Optional[CollectorUnit]:
-        for cu in self.collector_units:
-            if cu.warp is None:  # CollectorUnit.free, sans property call
-                return cu
-        return None
-
     def _issue_warp(self, warp: Warp, now: int) -> bool:
-        # The issue fast path: _free_cu, CollectorUnit.allocate, the bank
-        # enqueue of _allocate_cu and the whole of _post_issue are inlined
-        # (those helpers remain for the bank-stealing pass).
+        """Issue ``warp``'s next instruction; False if it cannot issue now.
+
+        An instruction with register sources takes the first free CU and
+        queues one read per source on its bank (``Warp._row``); one
+        without dispatches directly if its pipeline has a free port.
+        """
         code = warp.code
         pc = warp.pc
         num_src = code.num_src[pc]
@@ -429,7 +400,8 @@ class SubCore:
             if (ports[0] if pipe.single else min(ports)) > now:
                 return False
             self._execute_on(pipe, warp, pc, now)
-        # Inlined _post_issue (flags read before note_issue advances pc).
+        # Issued.  Flags and selection info are read before note_issue
+        # advances pc and last_issued moves.
         tracer = self.tracer
         flags = code.flags[pc]
         if tracer is not None:
@@ -439,8 +411,8 @@ class SubCore:
                 code.opcode_name(pc), pc, info["policy"], info["greedy"],
             )
         warp.note_issue()
-        # WarpScheduler.note_issue is the same pointer update on every
-        # policy — write it directly.
+        # The sub-core owns the scheduler's last-issued pointer: policies
+        # read it in select(), nothing else writes it.
         self.scheduler.last_issued = warp
         self.instructions_issued += 1
         self.sm.total_instructions += 1
@@ -459,56 +431,35 @@ class SubCore:
                 self.sm.warp_exited(warp, now)
         return True
 
-    def _allocate_cu(self, cu: CollectorUnit, warp: Warp, now: int) -> None:
-        cu.allocate(warp, now, self._pipes[warp.code.unit_ids[warp.pc]])
-        self._busy_cus += 1
-        arbitration = self.arbitration
-        queues = arbitration.queues
-        for bank in warp.src_banks_cached():
-            queues[bank].append(cu)
-        arbitration.pending += cu.pending_operands
+    def _execute_on(self, pipe: Pipeline, warp: Warp, pc: int, now: int) -> None:
+        """The dispatch tail: start ``warp``'s instruction at ``pc`` on ``pipe``.
 
-    def _post_issue(self, warp: Warp, now: int) -> None:
-        tracer = self.tracer
-        # Compiled per-instruction flags, read before note_issue advances
-        # the trace cursor.
-        flags = warp.code.flags[warp.pc]
-        if tracer is not None:
-            # Selection info must be read before note_issue updates the
-            # scheduler's greedy pointer.
-            info = self.scheduler.selection_info(warp)
-            tracer.warp_issue(
-                now, self.sm.sm_id, self.subcore_id, warp.warp_id,
-                warp.code.opcode_name(warp.pc), warp.pc, info["policy"], info["greedy"],
-            )
-        warp.note_issue()
-        self.scheduler.note_issue(warp)
-        self.instructions_issued += 1
-        self.sm.total_instructions += 1
-        if flags:
-            if flags & F_BARRIER:
-                if tracer is not None:
-                    tracer.warp_barrier(
-                        now, self.sm.sm_id, self.subcore_id, warp.warp_id
-                    )
-                self.sm.warp_at_barrier(warp)
-            elif flags & F_EXIT:
-                if tracer is not None:
-                    tracer.warp_exit(
-                        now, self.sm.sm_id, self.subcore_id, warp.warp_id
-                    )
-                self.sm.warp_exited(warp, now)
-
-    def _execute_on(self, pipe: "Pipeline", warp: Warp, pc: int, now: int) -> None:
-        """Dispatch ``warp``'s instruction at ``pc`` and schedule its writeback."""
+        Books the freest port (the caller checked one is free at ``now``)
+        for the instruction's initiation interval — its own or the
+        pipeline's lane-width factor, whichever is longer — resolves the
+        completion cycle (fixed latency, or the memory subsystem's answer)
+        and pushes the destination's writeback event on the SM's heap.
+        """
         code = warp.code
-        t_done = pipe.issue(code.intervals[pc], code.latencies[pc], now)
+        interval = code.intervals[pc]
+        if pipe.lane_interval > interval:
+            interval = pipe.lane_interval
+        ports = pipe.port_free
+        if pipe.single:
+            ports[0] = now + interval
+        else:
+            ports[min(range(len(ports)), key=ports.__getitem__)] = now + interval
+        pstats = pipe.stats
+        pstats.issued += 1
+        pstats.busy_cycles += interval
+        t_done = now + interval + code.latencies[pc]
+        sm = self.sm
         if code.flags[pc] & F_MEMORY:
-            t_done = self.sm.memory_access(warp, pc, t_done)
+            t_done = sm.memory_access(warp, pc, t_done)
         dst = code.dst_regs[pc]
         if dst is not None:
-            self.register_file.note_write()
-            self.sm.schedule_writeback(t_done, warp, dst)
+            self.register_file.writes += 1
+            heappush(sm._wb_heap, (t_done, next(sm._seq), warp, dst))
 
     # -- sanitizer hook -------------------------------------------------------------
 
@@ -686,7 +637,3 @@ class SubCore:
                     start, self.sm.sm_id, self.subcore_id, reason,
                     cycles * self.config.issue_width, dur=cycles,
                 )
-
-    @property
-    def active_warps(self) -> int:
-        return sum(1 for w in self.warps if not w.done)

@@ -10,14 +10,12 @@ The scoreboard is an integer bitmask (bit *r* set ⇔ register *r* has an
 outstanding writeback), and hazard checks are a single AND against the
 per-instruction hazard masks of the warp's compiled code
 (:class:`~repro.trace.compiled.CompiledWarp`, attached at construction).
-:attr:`Warp.pending_writes` remains the set-like façade of the scoreboard
-for tests and debugging.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..trace.compiled import compile_warp_trace
 
@@ -37,52 +35,6 @@ class WarpState(enum.Enum):
 #: States in which a warp still has instructions to run (it will become
 #: issuable again without outside help beyond scheduled events).
 RUNNABLE_STATES = frozenset({WarpState.READY, WarpState.BLOCKED, WarpState.MIGRATING})
-
-
-class _ScoreboardView:
-    """Set-like view over a warp's scoreboard bitmask.
-
-    Mutations write through to the bitmask with plain-``set`` semantics
-    (no state refresh — callers transition the warp explicitly, as the
-    deadlock tests do), so code that seeds hazards via
-    ``warp.pending_writes.add(r)`` keeps working against the integer
-    scoreboard.
-    """
-
-    __slots__ = ("_warp",)
-
-    def __init__(self, warp: "Warp"):
-        self._warp = warp
-
-    def __contains__(self, reg: object) -> bool:
-        return isinstance(reg, int) and bool((self._warp._pending >> reg) & 1)
-
-    def __bool__(self) -> bool:
-        return self._warp._pending != 0
-
-    def __len__(self) -> int:
-        return bin(self._warp._pending).count("1")
-
-    def __iter__(self) -> Iterator[int]:
-        pending = self._warp._pending
-        reg = 0
-        while pending:
-            if pending & 1:
-                yield reg
-            pending >>= 1
-            reg += 1
-
-    def add(self, reg: int) -> None:
-        self._warp._pending |= 1 << reg
-
-    def discard(self, reg: int) -> None:
-        self._warp._pending &= ~(1 << reg)
-
-    def clear(self) -> None:
-        self._warp._pending = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{{{', '.join(str(r) for r in self)}}}"
 
 
 class Warp:
@@ -129,11 +81,10 @@ class Warp:
         #: The owning sub-core's ready pool (kept in sync by set_state).
         #: An insertion-ordered dict-as-set — see SubCore.ready.
         self.ready_pool: Optional[Dict["Warp", None]] = None
-        #: Pre-resolved source-bank row: ``_row[pc]`` is the bank tuple of
-        #: the instruction at ``pc`` (attached by SubCore.add_warp;
-        #: identical across sub-cores of a config, so it survives
-        #: migration).
-        self._row: Optional[Tuple[Tuple[int, ...], ...]] = None
+        #: Pre-resolved source-bank rows (set_bank_view, called by
+        #: SubCore.add_warp; identical across sub-cores of a config, so
+        #: they survive migration).  Empty until a view is attached.
+        self._row: Tuple[Tuple[int, ...], ...] = ()
 
     # -- trace cursor ------------------------------------------------------
 
@@ -142,11 +93,6 @@ class Warp:
         return self.state is WarpState.FINISHED
 
     # -- hazards -----------------------------------------------------------
-
-    @property
-    def pending_writes(self) -> _ScoreboardView:
-        """Set-like view of the scoreboard (mutations write through)."""
-        return _ScoreboardView(self)
 
     def set_state(self, state: WarpState) -> None:
         """Transition state, keeping the sub-core's ready pool in sync."""
@@ -193,20 +139,14 @@ class Warp:
     # -- bank-layout view (attached by the owning sub-core) ------------------
 
     def set_bank_view(self, mapper: "BankMapper", num_banks: int) -> None:
-        """Attach the pre-resolved source-bank row used by src_banks_cached."""
-        self._row = self.code.bank_table(mapper, num_banks).row_for(self.warp_id)
+        """Attach ``_row``, the pre-resolved source-bank rows.
 
-    def src_banks_cached(self) -> Tuple[int, ...]:
-        """Banks of the source operands of the instruction at ``pc``.
-
-        Equivalent to ``RegisterFile.src_banks`` (duplicates kept) but
-        pre-resolved at trace-compile time (``CompiledWarp.bank_table``)
-        instead of recomputed per scheduler evaluation and collector-unit
-        allocation.
+        ``_row[pc]`` holds the bank of each source operand of the
+        instruction at ``pc`` (duplicates kept), resolved at trace-compile
+        time (``CompiledWarp.bank_table``); the issue path and the RBA and
+        bank-stealing schedulers read it directly.
         """
-        row = self._row
-        assert row is not None, "bank view not attached"
-        return row[self.pc]
+        self._row = self.code.bank_table(mapper, num_banks).row_for(self.warp_id)
 
     def complete_write(self, reg: int) -> None:
         # refresh_state with the scoreboard update folded in: this runs once

@@ -46,19 +46,19 @@ class WarpScheduler:
     def __init__(self, arbitration: ArbitrationUnit, register_file: RegisterFile):
         self.arbitration = arbitration
         self.register_file = register_file
+        #: The warp this sub-core issued last.  Written by the sub-core on
+        #: every issue (``SubCore._issue_warp``, steals included); policies
+        #: only read it.
         self.last_issued: Optional[Warp] = None
 
     def select(self, candidates: Collection[Warp], now: int) -> Optional[Warp]:
         raise NotImplementedError
 
-    def note_issue(self, warp: Warp) -> None:
-        self.last_issued = warp
-
     def selection_info(self, warp: Warp) -> dict:
         """Why ``warp`` was picked, for the event tracer.
 
-        Read *before* :meth:`note_issue` — ``greedy`` compares against the
-        previous issue, which ``note_issue`` overwrites.
+        Read *before* the sub-core moves ``last_issued`` — ``greedy``
+        compares against the previous issue.
         """
         return {"policy": self.name, "greedy": self.last_issued is warp}
 
@@ -137,20 +137,15 @@ class RBAScheduler(WarpScheduler):
         if not candidates:
             return None
         lengths = self.arbitration.queue_lengths(now)
-        rf = self.register_file
         best = None
         best_key = None
         for w in candidates:
-            if w._row is None:
-                # Warps placed via SubCore.add_warp arrive with the view
-                # attached; bare warps (unit tests, scripts) get it here.
-                w.set_bank_view(rf.mapper, rf.num_banks)
             score = 0
             # The warp's compiled code pre-resolves the operand->bank
             # layout per trace position, so scoring is a couple of tuple
             # reads instead of re-running the bank mapper per operand per
             # candidate per cycle.
-            for bank in w.src_banks_cached():
+            for bank in w._row[w.pc]:
                 score += lengths[bank]
             key = (score, w.age)
             if best_key is None or key < best_key:
@@ -172,11 +167,8 @@ class BankStealingScheduler(GTOScheduler):
         paper measures < 1 % benefit from this design.
         """
         arb = self.arbitration
-        rf = self.register_file
         for w in sorted(candidates, key=_AGE):
-            if w._row is None:
-                w.set_bank_view(rf.mapper, rf.num_banks)
-            banks = w.src_banks_cached()
+            banks = w._row[w.pc]
             # Iterate the tuple directly: duplicate banks re-check the same
             # idle queue harmlessly, and no set order ever feeds the result
             # (simlint RPR001).

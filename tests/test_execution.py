@@ -1,21 +1,33 @@
-"""Tests for the execution-unit pipeline model."""
+"""Tests for the execution-unit pipeline model.
 
-import pytest
+A pipeline is port state; the port booking is the sub-core's dispatch tail
+(``SubCore._execute_on``), so every instruction here is dispatched through
+it — onto a stand-alone pipeline or onto one of an ``ExecutionUnits`` set.
+"""
 
 from repro.config import fully_connected, volta_v100
 from repro.core import ExecutionUnits, Pipeline
-from repro.isa import FuncUnit, Opcode
+from repro.isa import FuncUnit, Instruction, Opcode
+
+from .test_subcore import load_warps, make_subcore
 
 
 def issue(target, opcode, now):
-    """Issue one ``opcode`` instruction on a pipeline, or on the pipeline of
-    its unit: the static timing is all the execution model reads."""
+    """Dispatch one ``opcode`` instruction at ``now`` on a pipeline, or on the
+    pipeline of its unit; returns the cycle its writeback is scheduled for."""
     pipe = target if isinstance(target, Pipeline) else target.pipelines[opcode.unit]
-    return pipe.issue(opcode.initiation_interval, opcode.latency, now)
+    sm, sc = make_subcore()
+    warp = load_warps(sm, [[Instruction(opcode, dst_reg=8, src_regs=(0, 1))]])[0]
+    sc._execute_on(pipe, warp, 0, now)
+    ((t_done, _seq, woken, reg),) = sm._wb_heap
+    assert (woken, reg) == (warp, 8)
+    return t_done
 
 
-def can_accept(ex, opcode, now):
-    return ex.pipelines[opcode.unit].can_accept(now)
+def can_accept(target, opcode, now):
+    """The dispatch gate: some port of the pipeline is free at ``now``."""
+    pipe = target if isinstance(target, Pipeline) else target.pipelines[opcode.unit]
+    return min(pipe.port_free) <= now
 
 
 class TestPipeline:
@@ -39,17 +51,16 @@ class TestPipeline:
 
     def test_port_busy_after_issue(self):
         p = Pipeline(FuncUnit.FP32, lanes=16)
-        assert p.can_accept(0)
+        assert p.port_free == [0]
         issue(p, Opcode.FADD, now=0)
-        assert not p.can_accept(1)
-        assert p.can_accept(2)
+        assert p.port_free == [2]  # busy through cycle 1, free again at 2
 
     def test_pooled_lanes_expose_multiple_ports(self):
         p = Pipeline(FuncUnit.FP32, lanes=64)
         issue(p, Opcode.FADD, now=0)
-        assert p.can_accept(0)  # second port still free
+        assert sorted(p.port_free) == [0, 1]  # second port still free
         issue(p, Opcode.FADD, now=0)
-        assert not p.can_accept(0)
+        assert p.port_free == [1, 1]
 
     def test_stats(self):
         p = Pipeline(FuncUnit.FP32, lanes=16)
@@ -84,9 +95,3 @@ class TestExecutionUnits:
         assert not can_accept(part, Opcode.HMMA, now=1)  # 8 lanes -> interval 4
         issue(fc, Opcode.HMMA, now=0)
         assert can_accept(fc, Opcode.HMMA, now=1)  # 32 lanes -> interval 1
-
-    def test_next_free_cycle(self):
-        ex = ExecutionUnits(volta_v100())
-        assert ex.next_free_cycle() == 0
-        issue(ex, Opcode.FADD, now=0)
-        assert ex.next_free_cycle() == 0  # other units idle

@@ -71,7 +71,7 @@ class TestRun:
         assert sm.try_allocate_cta(k, k.ctas[0], cta_id=0, now=0)
         for sc in sm.subcores:
             for w in sc.warps:
-                w.pending_writes.add(99)  # writeback never scheduled
+                w._pending |= 1 << 99  # writeback never scheduled
                 w.set_state(WarpState.BLOCKED)
         assert sm.next_event(0) is None
         with pytest.raises(DeadlockError, match="no.*pending events"):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import volta_v100
 from repro.core import StreamingMultiprocessor, WarpState
-from repro.isa import Instruction, Opcode, fadd, ffma, iadd
+from repro.isa import FuncUnit, Instruction, Opcode, fadd, ffma, iadd
 from repro.memory import MemorySubsystem
 from repro.trace import WarpTrace, make_kernel
 
@@ -64,12 +64,14 @@ class TestCollectAndDispatch:
         warps = load_warps(sm, [[fadd(8, 0, 1)]] * 4)
         w = sc.warps[0]
         sm.step(0)   # issue + collect both operands (2 banks)
-        assert sc.collector_units[0].ready or sc.arbitration.pending
+        cu = sc.collector_units[0]
+        assert cu.warp is w and not cu.pending_operands  # collected
         sm.step(1)   # dispatch
         assert sc._busy_cus == 0
         # FADD: interval 2 + latency 4 after dispatch at t=1 -> wb at t=7
+        assert w._pending == 1 << 8 and sm._wb_heap[0][0] == 7
         sm.step(7)
-        assert 8 not in w.pending_writes
+        assert w._pending == 0
 
     def test_same_bank_operands_serialize(self):
         cfg = volta_v100().replace(bank_mapping="mod")
@@ -86,6 +88,63 @@ class TestCollectAndDispatch:
         sm.step(0)
         sm.step(1)
         assert sc.register_file.reads == 3
+
+
+class TestPortGate:
+    def test_collected_instruction_waits_for_its_port(self):
+        sm, sc = make_subcore()
+        load_warps(sm, [[fadd(8, 0, 1), fadd(9, 2, 3)]] * 4)  # one warp/sub-core
+        fp32 = sc.execution.pipelines[FuncUnit.FP32]
+        sm.step(0)  # issue #1, collect
+        sm.step(1)  # dispatch #1 (16 lanes: port busy until 3); issue #2, collect
+        assert fp32.port_free == [3] and fp32.stats.issued == 1
+        sm.step(2)  # #2 is collected but the port is busy
+        cu = sc.collector_units[0]
+        assert sc._busy_cus == 1 and not cu.pending_operands
+        assert fp32.stats.issued == 1
+        sm.step(3)
+        assert sc._busy_cus == 0 and fp32.stats.issued == 2
+        assert fp32.port_free == [5] and fp32.stats.busy_cycles == 4
+
+    def test_direct_issue_waits_for_its_port(self):
+        sm, sc = make_subcore()
+        # No register sources, independent destinations.
+        body = [Instruction(Opcode.MUFU, dst_reg=8), Instruction(Opcode.MUFU, dst_reg=9)]
+        load_warps(sm, [body] * 4)
+        assert sc.issue(now=0) == 1  # 4 SFU lanes: port busy until 8
+        stalls = sc.issue_stall_no_cu
+        assert sc.issue(now=1) == 0
+        assert sc.issue_stall_no_cu == stalls + 1
+        assert sc.issue(now=8) == 1
+
+
+class TestSchedulerContract:
+    def test_policy_sees_last_issued_advance(self):
+        """A policy written from docs/extending.md overrides ``select`` only;
+        the sub-core moves ``last_issued`` on every issue."""
+        from repro.core import WarpScheduler
+
+        class NotTheLastOne(WarpScheduler):
+            name = "not_the_last_one"
+
+            def __init__(self, arbitration, register_file):
+                super().__init__(arbitration, register_file)
+                self.seen = []
+
+            def select(self, candidates, now):
+                self.seen.append(self.last_issued)
+                others = [w for w in candidates if w is not self.last_issued]
+                return min(others or candidates, key=lambda w: w.age)
+
+        sm, sc = make_subcore()
+        load_warps(sm, [[fadd(8, 0, 1), fadd(9, 2, 3)]] * 8)  # 2 warps/sub-core
+        policy = sc.scheduler = NotTheLastOne(sc.arbitration, sc.register_file)
+        first, second = sc.warps
+        assert sc.issue(now=0) == 1 and policy.last_issued is first
+        assert sc.issue(now=1) == 1 and policy.last_issued is second
+        assert policy.seen == [None, first]
+        sc.remove_warp(second, 0)  # note_warp_removed: no stale pointer
+        assert policy.last_issued is None
 
 
 class TestQuiescence:

@@ -20,7 +20,7 @@ class TestScoreboard:
     def test_raw_hazard(self):
         w = make_warp([fadd(0, 1, 2), fadd(3, 0, 1)])
         w.note_issue()  # writes R0
-        assert 0 in w.pending_writes
+        assert w._pending == 1 << 0
         assert w.state is WarpState.BLOCKED  # next reads R0
 
     def test_waw_hazard(self):
@@ -38,7 +38,7 @@ class TestScoreboard:
         w.note_issue()
         w.complete_write(0)
         assert w.state is WarpState.READY
-        assert not w.pending_writes
+        assert w._pending == 0
 
     def test_unrelated_writeback_keeps_blocked(self):
         w = make_warp([fadd(0, 1, 2), fadd(5, 6, 7), fadd(3, 0, 1)])

@@ -1,4 +1,11 @@
-"""Unit tests for the warp-scheduler policies."""
+"""Unit tests for the warp-scheduler policies.
+
+State is set the way the sub-core sets it: ``sched.last_issued = w`` on
+issue, ``arb.queues[b].append(cu); arb.pending += 1`` per queued read
+(``enqueue``), and
+every warp carries its bank view (``make_warps``), as after
+``SubCore.add_warp``.
+"""
 
 import pytest
 
@@ -16,7 +23,10 @@ from repro.core import (
     make_scheduler,
 )
 from repro.isa import Instruction, Opcode, fadd, ffma
+from repro.regalloc import get_mapping
 from repro.trace import CTATrace, WarpTrace
+
+from .test_operand_collector import enqueue
 
 
 def make_warps(instr_lists):
@@ -25,9 +35,19 @@ def make_warps(instr_lists):
     warps = []
     for i, tr in enumerate(traces):
         w = Warp(warp_id=i, cta=cta, trace=tr, subcore_id=0, age=i)
+        w.set_bank_view(get_mapping("mod"), 2)  # scheduler_pair's layout
         cta.add_warp(w)
         warps.append(w)
     return warps
+
+
+def load_banks(arb, banks):
+    """Queue one pending read per entry of ``banks`` on behalf of a busy CU."""
+    cu = CollectorUnit(0)
+    cu.warp = make_warps([[ffma(4, 0, 2, 4)]])[0]
+    cu.pending_operands = len(banks)
+    enqueue(arb, cu, banks)
+    return cu
 
 
 def scheduler_pair(cls, mapping="mod", score_latency=0):
@@ -40,13 +60,13 @@ class TestGTO:
     def test_prefers_last_issued(self):
         sched, _, _ = scheduler_pair(GTOScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 3)
-        sched.note_issue(warps[2])
+        sched.last_issued = warps[2]
         assert sched.select(warps, now=0) is warps[2]
 
     def test_falls_back_to_oldest(self):
         sched, _, _ = scheduler_pair(GTOScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 3)
-        sched.note_issue(warps[2])
+        sched.last_issued = warps[2]
         assert sched.select(warps[:2], now=0) is warps[0]
 
     def test_empty_candidates(self):
@@ -56,7 +76,7 @@ class TestGTO:
     def test_note_warp_removed_clears_greedy(self):
         sched, _, _ = scheduler_pair(GTOScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 2)
-        sched.note_issue(warps[1])
+        sched.last_issued = warps[1]
         sched.note_warp_removed(warps[1])
         assert sched.select(warps, now=0) is warps[0]
 
@@ -66,21 +86,16 @@ class TestLRR:
         sched, _, _ = scheduler_pair(LRRScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 3)
         assert sched.select(warps, now=0) is warps[0]
-        sched.note_issue(warps[0])
+        sched.last_issued = warps[0]
         assert sched.select(warps, now=0) is warps[1]
-        sched.note_issue(warps[2])
+        sched.last_issued = warps[2]
         assert sched.select(warps, now=0) is warps[0]  # wrap-around
 
 
 class TestRBA:
     def test_picks_low_pressure_bank(self):
         sched, arb, rf = scheduler_pair(RBAScheduler)
-        # Load bank 0 with pending requests.
-        cu = CollectorUnit(0)
-        warps_for_cu = make_warps([[ffma(4, 0, 2, 4)]])
-        cu.allocate(warps_for_cu[0], cycle=0)
-        arb.request(cu, 0)
-        arb.request(cu, 0)
+        load_banks(arb, [0, 0])  # pending requests on bank 0
         # warp A reads bank 0 (even regs); warp B reads bank 1 (odd regs).
         wa, wb = make_warps([[fadd(9, 0, 2)], [fadd(9, 1, 3)]])
         wb.age = 5  # older warp is A; GTO would pick A
@@ -93,11 +108,7 @@ class TestRBA:
 
     def test_zero_source_instructions_score_zero(self):
         sched, arb, _ = scheduler_pair(RBAScheduler)
-        cu = CollectorUnit(0)
-        filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
-        cu.allocate(filler, cycle=0)
-        arb.request(cu, 0)
-        arb.request(cu, 1)
+        load_banks(arb, [0, 1])
         reader, barrier_warp = make_warps(
             [[fadd(9, 0, 1)], [Instruction(Opcode.BAR)]]
         )
@@ -108,12 +119,8 @@ class TestRBA:
         sched, arb, rf = scheduler_pair(RBAScheduler, score_latency=100)
         # queues currently loaded on bank 0, but the visible snapshot is
         # empty, so RBA behaves like age order.
-        cu = CollectorUnit(0)
-        filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
         arb.queue_lengths(0)  # take the t=0 snapshot first
-        cu.allocate(filler, cycle=0)
-        arb.request(cu, 0)
-        arb.request(cu, 0)
+        load_banks(arb, [0, 0])
         wa, wb = make_warps([[fadd(9, 0, 2)], [fadd(9, 1, 3)]])
         assert sched.select([wa, wb], now=5) is wa  # stale: age order
 
@@ -121,20 +128,13 @@ class TestRBA:
 class TestBankStealing:
     def test_steals_only_idle_bank_warps(self):
         sched, arb, rf = scheduler_pair(BankStealingScheduler)
-        cu = CollectorUnit(0)
-        filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
-        cu.allocate(filler, cycle=0)
-        arb.request(cu, 0)  # bank 0 busy, bank 1 idle
+        load_banks(arb, [0])  # bank 0 busy, bank 1 idle
         even_warp, odd_warp = make_warps([[fadd(9, 0, 2)], [fadd(9, 1, 3)]])
         assert sched.steal_candidate([even_warp, odd_warp], now=0) is odd_warp
 
     def test_no_candidate_when_all_banks_busy(self):
         sched, arb, _ = scheduler_pair(BankStealingScheduler)
-        cu = CollectorUnit(0)
-        filler = make_warps([[ffma(4, 0, 2, 4)]])[0]
-        cu.allocate(filler, cycle=0)
-        arb.request(cu, 0)
-        arb.request(cu, 1)
+        load_banks(arb, [0, 1])
         warps = make_warps([[fadd(9, 0, 2)]])
         assert sched.steal_candidate(warps, now=0) is None
 
@@ -165,7 +165,7 @@ class TestTwoLevel:
         tl = TwoLevelScheduler(sched.arbitration, sched.register_file, group_size=2)
         warps = make_warps([[fadd(9, 0, 1)]] * 4)  # ages 0..3 -> groups 0,0,1,1
         assert tl.select(warps, now=0) is warps[0]
-        tl.note_issue(warps[0])
+        tl.last_issued = warps[0]
         assert tl.select(warps, now=0) is warps[1]
 
     def test_switches_group_when_active_stalled(self):
