@@ -4,14 +4,18 @@ A cache-hit figure run, ``python -m repro list`` and a bare ``import
 repro`` must not load the simulator, the trace toolchain, the analysis
 and bench tooling or the process pool; the first cache *miss* loads the
 simulator in the parent before the pool forks.  Each case runs in a fresh
-interpreter and reports its ``sys.modules``.  See docs/performance.md,
-"Start-up and the hit path".
+interpreter started with ``-S`` (no site hooks: no ``.pth`` file,
+``sitecustomize`` or ``usercustomize`` runs), with ``src`` and
+site-packages on ``PYTHONPATH``, and reports its ``sys.modules``: a ``.pth``
+hook can preload stdlib modules such as ``tempfile`` that ``repro`` never
+imports.  See docs/performance.md, "Start-up and the hit path".
 """
 
 from __future__ import annotations
 
 import json
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -40,8 +44,12 @@ MISS_PATH_ONLY = (
 )
 
 # argv: output path, then either ["-c", code] or the CLI's arguments.
+# ``startup`` is what the interpreter had loaded before anything ran.
 _CHILD = """\
-import json, runpy, sys
+import sys
+
+startup = sorted(sys.modules)
+import json, runpy
 
 out, rest = sys.argv[1], sys.argv[2:]
 status = 0
@@ -54,20 +62,30 @@ try:
 except SystemExit as exc:
     status = exc.code or 0
 with open(out, "w") as fh:
-    json.dump({"status": status, "modules": sorted(sys.modules)}, fh)
+    json.dump({"status": status, "startup": startup, "modules": sorted(sys.modules)}, fh)
 """
 
 
 def run_fresh(tmp_path, *args):
     """Run ``python -m repro ARGS`` (or ``-c CODE``) in a fresh interpreter.
 
-    Returns ``(exit status, loaded module names, stdout)``.
+    The child runs with ``-S`` and reaches site-packages through
+    ``PYTHONPATH``, whose entries join ``sys.path`` without their ``.pth``
+    files being executed.  Returns ``(exit status, loaded module names,
+    stdout)``.
     """
     out = tmp_path / "modules.json"
-    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    path = [str(SRC), *site.getsitepackages()]
+    if site.ENABLE_USER_SITE:
+        path.append(site.getusersitepackages())
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(path),
+        REPRO_CACHE_DIR=str(tmp_path / "cache"),
+    )
     env.pop("REPRO_CHAOS_PLAN", None)
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(out), *args],
+        [sys.executable, "-S", "-c", _CHILD, str(out), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -75,6 +93,11 @@ def run_fresh(tmp_path, *args):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(out.read_text())
+    preloaded = loaded(report["startup"], (*MISS_PATH_ONLY, "tempfile"))
+    assert not preloaded, (
+        f"the interpreter loaded {preloaded} before repro ran; "
+        "a start-up hook, not repro, imported them"
+    )
     return report["status"], report["modules"], proc.stdout
 
 
