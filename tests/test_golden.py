@@ -22,7 +22,7 @@ from repro import (
 )
 from repro.experiments.designs import get_design
 from repro.obs import Tracer
-from repro.obs.chrome_trace import iter_jsonl
+from repro.obs.chrome_trace import dumps_chrome_trace, iter_jsonl
 from repro.obs.manifest import stats_digest
 from repro.trace import TraceBuilder, make_kernel
 from repro.workloads import fma_microbenchmark, get_kernel
@@ -137,4 +137,23 @@ class TestGoldenDesignDigests:
         assert len(tracer) == 82828
         assert sha.hexdigest() == (
             "205c80186b6811fbb6ee911a738b7c3e132b54b59261338c1c8edcaac3d706ea"
+        )
+        # The same stream as a Chrome-trace document: pins the exporter's
+        # bytes (track metadata, event order, key order, separators).
+        doc = dumps_chrome_trace(tracer).encode("utf-8")
+        assert len(doc) == 7800035
+        assert hashlib.sha256(doc).hexdigest() == (
+            "985a6ff2f710d05c17f5454270926b83ea411e813885a449ab71179eb928cd09"
+        )
+
+    def test_bank_stealing_capped_event_stream(self):
+        # ``max_cycles`` keeps the events before the cap and counts the rest.
+        tracer = Tracer(max_cycles=2000)
+        simulate(get_kernel("cg-lou"), get_design("bank_stealing"), num_sms=1, tracer=tracer)
+        sha = hashlib.sha256()
+        for line in iter_jsonl(tracer):
+            sha.update(line.encode("utf-8") + b"\n")
+        assert (len(tracer), tracer.dropped) == (16808, 66020)
+        assert sha.hexdigest() == (
+            "ae28d5f65d6cd5ac0388debd61ce759919a81654f18a48fee31aa36e42d2f2d4"
         )
