@@ -67,9 +67,7 @@ class SubCore:
             read_ports=config.bank_read_ports,
             score_latency=config.rba_score_latency,
         )
-        self.scheduler: WarpScheduler = make_scheduler(
-            config, self.arbitration, self.register_file
-        )
+        self.scheduler: WarpScheduler = make_scheduler(config, self.arbitration)
         self.collector_units = [
             CollectorUnit(i) for i in range(config.collector_units_per_subcore)
         ]

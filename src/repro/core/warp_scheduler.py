@@ -27,7 +27,6 @@ from typing import Collection, List, Optional, Sequence
 
 from ..config import GPUConfig, SchedulerPolicy
 from .arbitration import ArbitrationUnit
-from .register_file import RegisterFile
 from .warp import Warp
 
 
@@ -43,9 +42,8 @@ class WarpScheduler:
     #: Whether the sub-core should run the post-issue bank-stealing pass.
     steals_banks = False
 
-    def __init__(self, arbitration: ArbitrationUnit, register_file: RegisterFile):
+    def __init__(self, arbitration: ArbitrationUnit):
         self.arbitration = arbitration
-        self.register_file = register_file
         #: The warp this sub-core issued last.  Written by the sub-core on
         #: every issue (``SubCore._issue_warp``, steals included); policies
         #: only read it.
@@ -189,13 +187,8 @@ class TwoLevelScheduler(WarpScheduler):
 
     name = "two_level"
 
-    def __init__(
-        self,
-        arbitration: ArbitrationUnit,
-        register_file: RegisterFile,
-        group_size: int = 8,
-    ):
-        super().__init__(arbitration, register_file)
+    def __init__(self, arbitration: ArbitrationUnit, group_size: int = 8):
+        super().__init__(arbitration)
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
         self.group_size = group_size
@@ -226,9 +219,7 @@ class TwoLevelScheduler(WarpScheduler):
         return min(in_group, key=_AGE)
 
 
-def make_scheduler(
-    config: GPUConfig, arbitration: ArbitrationUnit, register_file: RegisterFile
-) -> WarpScheduler:
+def make_scheduler(config: GPUConfig, arbitration: ArbitrationUnit) -> WarpScheduler:
     """Instantiate the scheduler named by ``config.scheduler``."""
     classes = {
         SchedulerPolicy.LRR: LRRScheduler,
@@ -237,4 +228,4 @@ def make_scheduler(
         SchedulerPolicy.BANK_STEALING: BankStealingScheduler,
         SchedulerPolicy.TWO_LEVEL: TwoLevelScheduler,
     }
-    return classes[config.scheduler](arbitration, register_file)
+    return classes[config.scheduler](arbitration)

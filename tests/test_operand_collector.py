@@ -138,7 +138,7 @@ class TestArbitrationUnit:
         assert arb.queue_lengths(0) == [2, 1]
         # RBA scores a candidate by summing those lengths over its source
         # banks, duplicates counted: (0, 0, 1) -> 5, (1, 1) -> 2.
-        sched = RBAScheduler(arb, RegisterFile(2, "mod"))
+        sched = RBAScheduler(arb)
         heavy = dummy_warp(ffma(9, 0, 2, 1))
         light = dummy_warp(fadd(9, 1, 3), warp_id=1)
         assert (heavy._row[0], light._row[0]) == ((0, 0, 1), (1, 1))

@@ -127,8 +127,8 @@ class TestSchedulerContract:
         class NotTheLastOne(WarpScheduler):
             name = "not_the_last_one"
 
-            def __init__(self, arbitration, register_file):
-                super().__init__(arbitration, register_file)
+            def __init__(self, arbitration):
+                super().__init__(arbitration)
                 self.seen = []
 
             def select(self, candidates, now):
@@ -138,7 +138,7 @@ class TestSchedulerContract:
 
         sm, sc = make_subcore()
         load_warps(sm, [[fadd(8, 0, 1), fadd(9, 2, 3)]] * 8)  # 2 warps/sub-core
-        policy = sc.scheduler = NotTheLastOne(sc.arbitration, sc.register_file)
+        policy = sc.scheduler = NotTheLastOne(sc.arbitration)
         first, second = sc.warps
         assert sc.issue(now=0) == 1 and policy.last_issued is first
         assert sc.issue(now=1) == 1 and policy.last_issued is second

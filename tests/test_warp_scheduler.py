@@ -17,7 +17,6 @@ from repro.core import (
     GTOScheduler,
     LRRScheduler,
     RBAScheduler,
-    RegisterFile,
     ThreadBlock,
     Warp,
     make_scheduler,
@@ -50,31 +49,30 @@ def load_banks(arb, banks):
     return cu
 
 
-def scheduler_pair(cls, mapping="mod", score_latency=0):
-    rf = RegisterFile(2, mapping)
+def scheduler_pair(cls, score_latency=0):
     arb = ArbitrationUnit(2, score_latency=score_latency)
-    return cls(arb, rf), arb, rf
+    return cls(arb), arb
 
 
 class TestGTO:
     def test_prefers_last_issued(self):
-        sched, _, _ = scheduler_pair(GTOScheduler)
+        sched, _ = scheduler_pair(GTOScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 3)
         sched.last_issued = warps[2]
         assert sched.select(warps, now=0) is warps[2]
 
     def test_falls_back_to_oldest(self):
-        sched, _, _ = scheduler_pair(GTOScheduler)
+        sched, _ = scheduler_pair(GTOScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 3)
         sched.last_issued = warps[2]
         assert sched.select(warps[:2], now=0) is warps[0]
 
     def test_empty_candidates(self):
-        sched, _, _ = scheduler_pair(GTOScheduler)
+        sched, _ = scheduler_pair(GTOScheduler)
         assert sched.select([], now=0) is None
 
     def test_note_warp_removed_clears_greedy(self):
-        sched, _, _ = scheduler_pair(GTOScheduler)
+        sched, _ = scheduler_pair(GTOScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 2)
         sched.last_issued = warps[1]
         sched.note_warp_removed(warps[1])
@@ -83,7 +81,7 @@ class TestGTO:
 
 class TestLRR:
     def test_rotates(self):
-        sched, _, _ = scheduler_pair(LRRScheduler)
+        sched, _ = scheduler_pair(LRRScheduler)
         warps = make_warps([[fadd(0, 1, 2)]] * 3)
         assert sched.select(warps, now=0) is warps[0]
         sched.last_issued = warps[0]
@@ -94,7 +92,7 @@ class TestLRR:
 
 class TestRBA:
     def test_picks_low_pressure_bank(self):
-        sched, arb, rf = scheduler_pair(RBAScheduler)
+        sched, arb = scheduler_pair(RBAScheduler)
         load_banks(arb, [0, 0])  # pending requests on bank 0
         # warp A reads bank 0 (even regs); warp B reads bank 1 (odd regs).
         wa, wb = make_warps([[fadd(9, 0, 2)], [fadd(9, 1, 3)]])
@@ -102,12 +100,12 @@ class TestRBA:
         assert sched.select([wa, wb], now=0) is wb
 
     def test_tie_breaks_by_age(self):
-        sched, _, _ = scheduler_pair(RBAScheduler)
+        sched, _ = scheduler_pair(RBAScheduler)
         warps = make_warps([[fadd(9, 0, 1)], [fadd(9, 0, 1)]])
         assert sched.select(warps, now=0) is warps[0]
 
     def test_zero_source_instructions_score_zero(self):
-        sched, arb, _ = scheduler_pair(RBAScheduler)
+        sched, arb = scheduler_pair(RBAScheduler)
         load_banks(arb, [0, 1])
         reader, barrier_warp = make_warps(
             [[fadd(9, 0, 1)], [Instruction(Opcode.BAR)]]
@@ -116,7 +114,7 @@ class TestRBA:
         assert sched.select([reader, barrier_warp], now=0) is barrier_warp
 
     def test_respects_stale_scores(self):
-        sched, arb, rf = scheduler_pair(RBAScheduler, score_latency=100)
+        sched, arb = scheduler_pair(RBAScheduler, score_latency=100)
         # queues currently loaded on bank 0, but the visible snapshot is
         # empty, so RBA behaves like age order.
         arb.queue_lengths(0)  # take the t=0 snapshot first
@@ -127,13 +125,13 @@ class TestRBA:
 
 class TestBankStealing:
     def test_steals_only_idle_bank_warps(self):
-        sched, arb, rf = scheduler_pair(BankStealingScheduler)
+        sched, arb = scheduler_pair(BankStealingScheduler)
         load_banks(arb, [0])  # bank 0 busy, bank 1 idle
         even_warp, odd_warp = make_warps([[fadd(9, 0, 2)], [fadd(9, 1, 3)]])
         assert sched.steal_candidate([even_warp, odd_warp], now=0) is odd_warp
 
     def test_no_candidate_when_all_banks_busy(self):
-        sched, arb, _ = scheduler_pair(BankStealingScheduler)
+        sched, arb = scheduler_pair(BankStealingScheduler)
         load_banks(arb, [0, 1])
         warps = make_warps([[fadd(9, 0, 2)]])
         assert sched.steal_candidate(warps, now=0) is None
@@ -145,7 +143,6 @@ class TestBankStealing:
 
 class TestFactory:
     def test_make_scheduler_dispatch(self):
-        rf = RegisterFile(2)
         arb = ArbitrationUnit(2)
         for policy, cls in [
             (SchedulerPolicy.GTO, GTOScheduler),
@@ -154,15 +151,15 @@ class TestFactory:
             (SchedulerPolicy.BANK_STEALING, BankStealingScheduler),
         ]:
             cfg = volta_v100().replace(scheduler=policy)
-            assert isinstance(make_scheduler(cfg, arb, rf), cls)
+            assert isinstance(make_scheduler(cfg, arb), cls)
 
 
 class TestTwoLevel:
     def test_stays_in_active_group(self):
         from repro.core import TwoLevelScheduler
 
-        sched, _, _ = scheduler_pair(GTOScheduler)  # reuse arb/rf plumbing
-        tl = TwoLevelScheduler(sched.arbitration, sched.register_file, group_size=2)
+        sched, _ = scheduler_pair(GTOScheduler)  # reuse the arbitration plumbing
+        tl = TwoLevelScheduler(sched.arbitration, group_size=2)
         warps = make_warps([[fadd(9, 0, 1)]] * 4)  # ages 0..3 -> groups 0,0,1,1
         assert tl.select(warps, now=0) is warps[0]
         tl.last_issued = warps[0]
@@ -171,8 +168,8 @@ class TestTwoLevel:
     def test_switches_group_when_active_stalled(self):
         from repro.core import TwoLevelScheduler
 
-        sched, _, _ = scheduler_pair(GTOScheduler)
-        tl = TwoLevelScheduler(sched.arbitration, sched.register_file, group_size=2)
+        sched, _ = scheduler_pair(GTOScheduler)
+        tl = TwoLevelScheduler(sched.arbitration, group_size=2)
         warps = make_warps([[fadd(9, 0, 1)]] * 4)
         # only group-1 warps are ready
         assert tl.select(warps[2:], now=0) is warps[2]
@@ -181,17 +178,16 @@ class TestTwoLevel:
     def test_group_size_validation(self):
         from repro.core import TwoLevelScheduler
 
-        sched, arb, rf = scheduler_pair(GTOScheduler)
+        sched, arb = scheduler_pair(GTOScheduler)
         import pytest as _pytest
 
         with _pytest.raises(ValueError):
-            TwoLevelScheduler(arb, rf, group_size=0)
+            TwoLevelScheduler(arb, group_size=0)
 
     def test_factory(self):
         from repro.config import SchedulerPolicy
         from repro.core import TwoLevelScheduler
 
-        rf = RegisterFile(2)
         arb = ArbitrationUnit(2)
         cfg = volta_v100().replace(scheduler=SchedulerPolicy.TWO_LEVEL)
-        assert isinstance(make_scheduler(cfg, arb, rf), TwoLevelScheduler)
+        assert isinstance(make_scheduler(cfg, arb), TwoLevelScheduler)
