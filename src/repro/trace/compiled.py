@@ -94,8 +94,8 @@ class _BankTable:
     """Pre-resolved source-operand banks for one ``(mapper, num_banks)``.
 
     ``row_for(warp_id)`` returns a tuple indexed by ``pc`` whose entries
-    are the instruction's source banks (duplicates preserved) — exactly
-    what ``RegisterFile.src_banks`` would compute, precomputed once per
+    are the instruction's source banks (duplicates preserved): ``mapper``
+    applied to each source register for that warp, computed once per
     residue class (periodic mappings) or per warp id (aperiodic ones).
     """
 
