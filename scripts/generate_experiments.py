@@ -2,7 +2,7 @@
 
 Run:  python scripts/generate_experiments.py > experiments_full.txt
 
-One process so the runner cache is shared across figures (the Fig. 1
+One process so the engine's memory cache is shared across figures (the Fig. 1
 baseline runs are the Fig. 9/10 denominators).  Takes tens of minutes on
 one core.
 """
@@ -72,7 +72,8 @@ def main():
             lambda: print(ex.subcore_granularity.format_result(ex.subcore_granularity.run())))
     section("Extension (work stealing)",
             lambda: print(ex.work_stealing_study.format_result(ex.work_stealing_study.run())))
-    print(f"\nTOTAL: {time.time() - t0:.0f}s, cache={ex.cache_size()} entries")
+    cached = ex.get_engine().memory_cache_size()
+    print(f"\nTOTAL: {time.time() - t0:.0f}s, cache={cached} entries")
 
 
 if __name__ == "__main__":

@@ -268,6 +268,12 @@ def main(argv: list[str] | None = None) -> int:
             f"(manifest.jsonl: {written} records; open *.trace.json in "
             "https://ui.perfetto.dev)"
         )
+        if engine.profile.trace_dropped:
+            print(
+                f"--trace-cycles {opts['trace_cycles']} cut "
+                f"{engine.profile.trace_dropped} events (per point: the "
+                "manifest records' \"dropped\")"
+            )
     if metrics is not None:
         import json as _json
         from pathlib import Path

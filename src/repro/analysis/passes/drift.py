@@ -10,7 +10,8 @@ doesn't crash, it quietly reproduces old behaviour:
   numbering (``repro/isa/opcodes.py``) and the bank mappers whose rows it
   stores (``repro/regalloc/bank_mapping.py``),
 * ``PROFILE_VERSION`` (``repro/workloads/profiles.py``) over the profile
-  payload and the profile → trace synthesizer,
+  payload, the profile → trace synthesizer and the kernel builders a
+  simulation point can name (``repro/workloads/microbench.py``),
 * ``CACHE_SCHEMA`` (``repro/experiments/engine.py``) over the result
   payload (``SimStats.to_payload`` in ``repro/metrics/stats.py``),
 * ``EVENT_SCHEMA_VERSION`` (``repro/obs/events.py``) over the trace-event
@@ -89,7 +90,7 @@ CONTRACTS: Tuple[Contract, ...] = (
         "profile-payload",
         "workloads/profiles.py",
         "PROFILE_VERSION",
-        ("workloads/profiles.py", "workloads/synth.py"),
+        ("workloads/microbench.py", "workloads/profiles.py", "workloads/synth.py"),
     ),
     Contract(
         "result-cache",

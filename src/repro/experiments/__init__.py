@@ -46,14 +46,6 @@ if TYPE_CHECKING:
     )
     from .export import dump_json, load_json, result_to_dict, stats_to_dict
     from .designs import DESIGNS, design_names, get_design
-    from .runner import (
-        cache_size,
-        clear_cache,
-        prefetch,
-        run_app,
-        run_kernel,
-        speedups_over_baseline,
-    )
 
 __all__ = lazy_package(
     __name__,
@@ -63,10 +55,6 @@ __all__ = lazy_package(
         ],
         "export": ["dump_json", "load_json", "result_to_dict", "stats_to_dict"],
         "designs": ["DESIGNS", "design_names", "get_design"],
-        "runner": [
-            "cache_size", "clear_cache", "prefetch", "run_app", "run_kernel",
-            "speedups_over_baseline",
-        ],
     },
     submodules=(
         "ablation_bank_mapping", "ablation_baseline_scheduler", "cu_validation",

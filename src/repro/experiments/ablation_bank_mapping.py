@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import SchedulerPolicy, volta_v100
-from ..gpu import simulate
-from ..workloads import RF_SENSITIVE_APPS, get_kernel
+from ..config import SchedulerPolicy
+from ..workloads.registry import RF_SENSITIVE_APPS
+from .engine import SimPoint, get_engine
 from .report import series_table
 
 MAPPINGS = ("mod", "warp_swizzle", "scrambled")
@@ -45,16 +45,15 @@ class BankMappingResult:
 
 def run(apps: Optional[Sequence[str]] = None) -> BankMappingResult:
     apps = list(apps) if apps is not None else list(RF_SENSITIVE_APPS[:8])
-    cycles: Dict[str, Dict[str, Tuple[int, int]]] = {}
-    for mapping in MAPPINGS:
-        cycles[mapping] = {}
-        for app in apps:
-            kernel = get_kernel(app)
-            base_cfg = volta_v100().replace(bank_mapping=mapping)
-            rba_cfg = base_cfg.replace(scheduler=SchedulerPolicy.RBA)
-            base = simulate(kernel, base_cfg, num_sms=1).cycles
-            fast = simulate(kernel, rba_cfg, num_sms=1).cycles
-            cycles[mapping][app] = (base, fast)
+    def point(app: str, mapping: str, scheduler: str) -> SimPoint:
+        return SimPoint(app, overrides={"bank_mapping": mapping, "scheduler": scheduler})
+
+    schedulers = (SchedulerPolicy.GTO, SchedulerPolicy.RBA)
+    stats = get_engine().run_many(point(a, m, s) for m in MAPPINGS for a in apps for s in schedulers)
+    cycles: Dict[str, Dict[str, Tuple[int, int]]] = {
+        m: {a: tuple(stats[point(a, m, s)].cycles for s in schedulers) for a in apps}
+        for m in MAPPINGS
+    }
     return BankMappingResult(apps, cycles)
 
 

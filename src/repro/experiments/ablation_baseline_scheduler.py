@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..config import SchedulerPolicy, volta_v100
-from ..gpu import simulate
-from ..workloads import RF_SENSITIVE_APPS, get_kernel
+from ..config import SchedulerPolicy
+from .engine import SimPoint, get_engine
 from .report import series_table
 
 SCHEDULERS = (
@@ -83,12 +82,11 @@ class BaselineSchedulerResult:
 
 def run(apps: Optional[Sequence[str]] = None) -> BaselineSchedulerResult:
     apps = list(apps) if apps is not None else list(DEFAULT_APPS)
-    cycles: Dict[str, Dict[str, int]] = {s: {} for s in SCHEDULERS}
-    for app in apps:
-        kernel = get_kernel(app)
-        for sched in SCHEDULERS:
-            cfg = volta_v100().replace(scheduler=sched)
-            cycles[sched][app] = simulate(kernel, cfg, num_sms=1).cycles
+    def point(app: str, scheduler: str) -> SimPoint:
+        return SimPoint(app, overrides={"scheduler": scheduler})
+
+    stats = get_engine().run_many(point(a, s) for a in apps for s in SCHEDULERS)
+    cycles = {s: {a: stats[point(a, s)].cycles for a in apps} for s in SCHEDULERS}
     return BaselineSchedulerResult(apps, cycles)
 
 

@@ -20,17 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from ..gpu import simulate
 from ..metrics import mean_absolute_error
-from ..workloads import cu_validation_microbenchmarks
-from .designs import get_design
+from .engine import SimPoint, get_engine
 from .report import series_table
 
 CU_SWEEP = (1, 2, 3, 4)
 
-#: Reference-model parameters per microbenchmark:
+#: Reference-model parameters per microbenchmark (the kernel builders of
+#: :data:`repro.workloads.microbench.CU_VALIDATION_SHAPES`, in their order):
 #: (reads per instruction, conflict penalty).  The penalty models the
 #: residual read-stage inefficiency V100 silicon shows when a warp's
 #: operands share a bank (it cannot be hidden perfectly with the silicon's
@@ -87,13 +84,14 @@ class CUValidationResult:
 
 
 def run(insts: int = 256, warps: int = 16) -> CUValidationResult:
-    kernels = cu_validation_microbenchmarks(insts=insts, warps=warps)
-    names = list(kernels)
+    names = list(UBENCH_PARAMS)
     reference = [silicon_reference_cycles(n, insts, warps) for n in names]
-    simulated: Dict[int, List[int]] = {}
-    for n in CU_SWEEP:
-        cfg = get_design(f"cu{n}")
-        simulated[n] = [simulate(kernels[name], cfg, num_sms=1).cycles for name in names]
+
+    def point(name: str, cus: int) -> SimPoint:
+        return SimPoint(name, f"cu{cus}", kernel={"insts": insts, "warps": warps})
+
+    stats = get_engine().run_many(point(name, n) for n in CU_SWEEP for name in names)
+    simulated = {n: [stats[point(name, n)].cycles for name in names] for n in CU_SWEEP}
     return CUValidationResult(names, reference, simulated)
 
 

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..config import ampere_a100, kepler, volta_v100
-from ..gpu import simulate
-from ..workloads import FMA_LAYOUTS, fma_microbenchmark
+from ..workloads.microbench import FMA_LAYOUTS
+from .designs import overrides_from
+from .engine import SimPoint, get_engine
 from .report import series_table
 
 ARCHS = ("kepler", "volta", "ampere")
+PRESETS = {"kepler": kepler, "volta": volta_v100, "ampere": ampere_a100}
 
 
 @dataclass
@@ -38,18 +40,14 @@ class Fig03Result:
 
 
 def run(fmas: int = 512) -> Fig03Result:
-    configs = {"kepler": kepler(), "volta": volta_v100(), "ampere": ampere_a100()}
-    cycles: Dict[str, Dict[str, int]] = {}
-    for arch in ARCHS:
-        cfg = configs[arch]
-        cycles[arch] = {}
-        for layout in FMA_LAYOUTS:
-            # The Fig. 4 layouts are fixed programs written against the
-            # 4-sub-core round-robin mapping; the same binaries run on
-            # every architecture.
-            kern = fma_microbenchmark(layout, fmas=fmas)
-            cycles[arch][layout] = simulate(kern, cfg, num_sms=1).cycles
-    return Fig03Result(cycles)
+    # The Fig. 4 layouts are fixed programs written against the 4-sub-core
+    # round-robin mapping; the same binaries run on every architecture.
+    def point(arch: str, layout: str) -> SimPoint:
+        kernel = {"layout": layout, "fmas": fmas}
+        return SimPoint("fma_microbenchmark", kernel=kernel, overrides=overrides_from(PRESETS[arch]()))
+
+    stats = get_engine().run_many(point(a, lay) for a in ARCHS for lay in FMA_LAYOUTS)
+    return Fig03Result({a: {lay: stats[point(a, lay)].cycles for lay in FMA_LAYOUTS} for a in ARCHS})
 
 
 def format_result(res: Fig03Result) -> str:

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..gpu import simulate
-from ..workloads import scaled_imbalance_microbenchmark
-from .designs import get_design
+from .engine import SimPoint, get_engine
 from .report import series_table
 
 DESIGNS = ("baseline", "srr", "shuffle")
@@ -38,11 +36,12 @@ class Fig08Result:
 def run(
     imbalances: Sequence[int] = DEFAULT_SWEEP, base_fmas: int = 64
 ) -> Fig08Result:
-    cycles: Dict[str, List[int]] = {d: [] for d in DESIGNS}
-    for imb in imbalances:
-        kern = scaled_imbalance_microbenchmark(imb, base_fmas=base_fmas)
-        for d in DESIGNS:
-            cycles[d].append(simulate(kern, get_design(d), num_sms=1).cycles)
+    def point(imbalance: int, design: str) -> SimPoint:
+        kernel = {"imbalance": imbalance, "base_fmas": base_fmas}
+        return SimPoint("scaled_imbalance_microbenchmark", design, kernel=kernel)
+
+    stats = get_engine().run_many(point(i, d) for i in imbalances for d in DESIGNS)
+    cycles = {d: [stats[point(i, d)].cycles for i in imbalances] for d in DESIGNS}
     return Fig08Result(list(imbalances), cycles)
 
 

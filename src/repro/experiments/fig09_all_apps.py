@@ -13,8 +13,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..workloads.registry import app_names
-from .report import average_speedups, speedup_table
-from .runner import speedups_over_baseline
+from .report import average_speedups, speedup_table, speedups_over_baseline
 
 DESIGNS = ("shuffle_rba", "fully_connected")
 

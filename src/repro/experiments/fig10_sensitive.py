@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..workloads.registry import SENSITIVE_APPS
-from .report import average_speedups, speedup_table
-from .runner import speedups_over_baseline
+from .report import average_speedups, speedup_table, speedups_over_baseline
 
 DESIGNS = (
     "rba",

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..workloads.registry import RF_SENSITIVE_APPS
-from .report import speedup_table
-from .runner import speedups_over_baseline
+from .report import speedup_table, speedups_over_baseline
 
 DESIGNS = ("rba", "fully_connected", "fc_rba")
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..workloads.registry import SENSITIVE_APPS, get_profile
-from .report import average_speedups, speedup_table
-from .runner import speedups_over_baseline
+from .report import average_speedups, speedup_table, speedups_over_baseline
 
 DESIGNS = ("cu4", "cu8", "cu16", "fully_connected", "rba")
 

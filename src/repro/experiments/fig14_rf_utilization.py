@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..metrics.stats import SimStats
+from .engine import SimPoint, get_engine
 from .report import series_table
-from .runner import prefetch, run_app
 
 APPS = ("pb-mriq", "rod-srad")
 DESIGNS = ("baseline", "rba", "fully_connected")
@@ -58,12 +58,12 @@ class Fig14Result:
 
 def run(apps: Optional[Tuple[str, ...]] = None) -> Fig14Result:
     apps = apps if apps is not None else APPS
-    prefetch(apps, DESIGNS, num_sms=1, collect_timeline=True)
-    stats: Dict[str, Dict[str, SimStats]] = {}
-    for app in apps:
-        stats[app] = {
-            d: run_app(app, d, num_sms=1, collect_timeline=True) for d in DESIGNS
-        }
+    points = get_engine().run_many(
+        SimPoint(app, d, 1, True) for app in apps for d in DESIGNS
+    )
+    stats: Dict[str, Dict[str, SimStats]] = {
+        app: {d: points[SimPoint(app, d, 1, True)] for d in DESIGNS} for app in apps
+    }
     return Fig14Result(stats)
 
 

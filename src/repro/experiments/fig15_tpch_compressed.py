@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..workloads.registry import app_names
-from .report import average_speedups, speedup_table
-from .runner import speedups_over_baseline
+from .report import average_speedups, speedup_table, speedups_over_baseline
 
 DESIGNS = ("srr", "shuffle", "rba", "shuffle_rba", "fully_connected")
 SUITE = "tpch-compressed"

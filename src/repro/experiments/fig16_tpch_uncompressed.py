@@ -11,8 +11,7 @@ from typing import Dict, List, Optional
 
 from ..workloads.registry import app_names
 from .fig15_tpch_compressed import DESIGNS, TpchResult
-from .report import speedup_table
-from .runner import speedups_over_baseline
+from .report import speedup_table, speedups_over_baseline
 
 SUITE = "tpch-uncompressed"
 PAPER_AVG = {"srr": 17.5, "shuffle": 13.9}

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..workloads.registry import app_names
+from .engine import SimPoint, get_engine
 from .report import series_table
-from .runner import prefetch, run_app
 
 DESIGNS = ("baseline", "srr", "shuffle")
 SUITE = "tpch-uncompressed"
@@ -38,12 +38,13 @@ class Fig17Result:
 
 def run(queries: Optional[List[str]] = None, num_sms: int = 1) -> Fig17Result:
     apps = queries if queries is not None else app_names(SUITE)
-    prefetch(apps, DESIGNS, num_sms=num_sms)
-    rows: List[Tuple[str, Dict[str, float]]] = []
-    for app in apps:
-        rows.append(
-            (app, {d: run_app(app, d, num_sms=num_sms).issue_cov() for d in DESIGNS})
-        )
+    points = get_engine().run_many(
+        SimPoint(app, d, num_sms) for app in apps for d in DESIGNS
+    )
+    rows: List[Tuple[str, Dict[str, float]]] = [
+        (app, {d: points[SimPoint(app, d, num_sms)].issue_cov() for d in DESIGNS})
+        for app in apps
+    ]
     return Fig17Result(rows)
 
 

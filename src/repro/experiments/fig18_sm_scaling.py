@@ -15,13 +15,11 @@ baseline and 84/80 = 1.05 with the techniques.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..gpu import simulate
-from ..workloads import COMPUTE_BOUND_APPS, build_kernel, get_profile
-from .designs import get_design
+from .engine import SimPoint, get_engine
 
 #: Apps that scale with SM count *and* lose visibly to partitioning —
 #: the paper's Fig. 18 population ("compute-bound applications that
@@ -79,23 +77,18 @@ def run(
     num_ctas: int = DEFAULT_CTAS,
     designs: Sequence[str] = ("baseline", "shuffle_rba"),
 ) -> Fig18Result:
-    kernels = {}
-    for app in apps:
-        profile = get_profile(app).variant(num_ctas=num_ctas)
-        kernels[app] = build_kernel(profile)
+    def point(app: str, design: str, num_sms: int) -> SimPoint:
+        return SimPoint(app, design, num_sms, kernel={"num_ctas": num_ctas})
 
-    fc_cfg = get_design("fully_connected")
-    fc_cycles = {
-        app: simulate(k, fc_cfg, num_sms=fc_sms).cycles for app, k in kernels.items()
+    stats = get_engine().run_many(
+        [point(app, "fully_connected", fc_sms) for app in apps]
+        + [point(app, d, n) for d in designs for app in apps for n in sweep]
+    )
+    fc_cycles = {app: stats[point(app, "fully_connected", fc_sms)].cycles for app in apps}
+    partitioned: Dict[str, Dict[str, List[int]]] = {
+        d: {app: [stats[point(app, d, n)].cycles for n in sweep] for app in apps}
+        for d in designs
     }
-
-    partitioned: Dict[str, Dict[str, List[int]]] = {}
-    for design in designs:
-        cfg = get_design(design)
-        partitioned[design] = {
-            app: [simulate(k, cfg, num_sms=n).cycles for n in sweep]
-            for app, k in kernels.items()
-        }
     return Fig18Result(fc_sms, list(sweep), fc_cycles, partitioned)
 
 

@@ -13,9 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..workloads.registry import app_names
-from .report import speedup_table
-from .runner import prefetch, run_app
+from .report import speedup_table, speedups_over_baseline
 
 DEFAULT_APPS = (
     "tpcU-q1",
@@ -46,20 +44,10 @@ class HashTableResult:
 
 def run(apps: Optional[Sequence[str]] = None) -> HashTableResult:
     apps = list(apps) if apps is not None else list(DEFAULT_APPS)
-    prefetch(apps, ("baseline", "shuffle_4entry", "shuffle_16entry"))
-    rows: List[Tuple[str, Dict[str, float]]] = []
-    for app in apps:
-        base = run_app(app, "baseline")
-        rows.append(
-            (
-                app,
-                {
-                    "4entry": base.cycles / run_app(app, "shuffle_4entry").cycles,
-                    "16entry": base.cycles / run_app(app, "shuffle_16entry").cycles,
-                },
-            )
-        )
-    return HashTableResult(rows)
+    rows = speedups_over_baseline(apps, ("shuffle_4entry", "shuffle_16entry"))
+    return HashTableResult(
+        [(app, {"4entry": v["shuffle_4entry"], "16entry": v["shuffle_16entry"]}) for app, v in rows]
+    )
 
 
 def format_result(res: HashTableResult) -> str:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..workloads.registry import SENSITIVE_APPS, app_names
-from .runner import speedups_over_baseline
+from .report import speedups_over_baseline
 
 DESIGNS = ("shuffle_rba", "srr_rba", "fully_connected")
 

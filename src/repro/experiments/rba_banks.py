@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..workloads.registry import RF_SENSITIVE_APPS
+from .engine import SimPoint, get_engine
 from .report import speedup_table
-from .runner import prefetch, run_app
 
 BANK_DESIGNS = {
     2: ("baseline", "rba"),
@@ -34,13 +34,15 @@ class RBABanksResult:
 
 def run(apps: Optional[Sequence[str]] = None) -> RBABanksResult:
     apps = list(apps) if apps is not None else list(RF_SENSITIVE_APPS)
-    prefetch(apps, [d for pair in BANK_DESIGNS.values() for d in pair])
+    points = get_engine().run_many(
+        SimPoint(app, d) for app in apps for pair in BANK_DESIGNS.values() for d in pair
+    )
     rows = []
     for app in apps:
         vals: Dict[str, float] = {}
         for banks, (base_design, rba_design) in BANK_DESIGNS.items():
-            base = run_app(app, base_design)
-            got = run_app(app, rba_design)
+            base = points[SimPoint(app, base_design)]
+            got = points[SimPoint(app, rba_design)]
             vals[f"{banks}banks"] = base.cycles / got.cycles
         rows.append((app, vals))
     return RBABanksResult(rows)

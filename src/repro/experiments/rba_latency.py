@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..workloads.registry import RF_SENSITIVE_APPS
-from .report import series_table
-from .runner import prefetch, run_app
+from .report import series_table, speedups_over_baseline
 
 LATENCIES = (0, 1, 2, 5, 10, 20)
 
@@ -58,15 +57,8 @@ def run(
     apps: Optional[Sequence[str]] = None, latencies: Sequence[int] = LATENCIES
 ) -> RBALatencyResult:
     apps = list(apps) if apps is not None else list(RF_SENSITIVE_APPS)
-    prefetch(apps, ["baseline", *(f"rba_lat{lat}" for lat in latencies)])
-    speedups: Dict[int, Dict[str, float]] = {}
-    for lat in latencies:
-        design = f"rba_lat{lat}"
-        speedups[lat] = {}
-        for app in apps:
-            base = run_app(app, "baseline")
-            got = run_app(app, design)
-            speedups[lat][app] = base.cycles / got.cycles
+    rows = speedups_over_baseline(apps, [f"rba_lat{lat}" for lat in latencies])
+    speedups = {lat: {app: v[f"rba_lat{lat}"] for app, v in rows} for lat in latencies}
     return RBALatencyResult(apps, speedups)
 
 

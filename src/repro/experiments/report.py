@@ -1,10 +1,37 @@
-"""ASCII reporting helpers shared by the figure harnesses."""
+"""Reducers and ASCII reporting helpers shared by the figure harnesses."""
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from .engine import SimPoint, get_engine
+
+
+def speedups_over_baseline(
+    apps: Iterable[str],
+    designs: Iterable[str],
+    num_sms: int = 1,
+    baseline: str = "baseline",
+) -> List[Tuple[str, Dict[str, float]]]:
+    """Rows of ``(app, {design: speedup})`` over the shared baseline, one batch."""
+    apps = list(apps)
+    designs = list(designs)
+    points = get_engine().run_many(
+        SimPoint(app, d, num_sms) for app in apps for d in [baseline, *designs]
+    )
+    return [
+        (
+            app,
+            {
+                d: points[SimPoint(app, baseline, num_sms)].cycles
+                / points[SimPoint(app, d, num_sms)].cycles
+                for d in designs
+            },
+        )
+        for app in apps
+    ]
 
 
 def fmt_speedup(x: float) -> str:

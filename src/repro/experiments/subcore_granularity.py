@@ -13,12 +13,12 @@ register-sensitive apps slow as banks-per-scheduler shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence
 
 from ..config import GPUConfig, volta_v100
-from ..gpu import simulate
-from ..workloads import fma_microbenchmark, get_kernel
+from .designs import overrides_from
+from .engine import SimPoint, get_engine
 from .report import series_table
 
 #: Default sweep stops at 4: an 8-way split cannot keep the aggregate
@@ -65,14 +65,15 @@ def run(
     sweep: Sequence[int] = SUBCORE_SWEEP,
     fmas: int = 128,
 ) -> GranularityResult:
-    workloads = {"fma-unbalanced": fma_microbenchmark("unbalanced", fmas=fmas)}
-    for app in apps:
-        workloads[app] = get_kernel(app)
-    cycles: Dict[str, List[int]] = {name: [] for name in workloads}
-    for n in sweep:
-        cfg = partitioned_config(n)
-        for name, kernel in workloads.items():
-            cycles[name].append(simulate(kernel, cfg, num_sms=1).cycles)
+    fma = SimPoint("fma_microbenchmark", kernel={"layout": "unbalanced", "fmas": fmas})
+    workloads = {"fma-unbalanced": fma, **{app: SimPoint(app) for app in apps}}
+    points = {
+        (name, n): replace(w, overrides=overrides_from(partitioned_config(n)))
+        for n in sweep
+        for name, w in workloads.items()
+    }
+    stats = get_engine().run_many(points.values())
+    cycles = {name: [stats[points[name, n]].cycles for n in sweep] for name in workloads}
     return GranularityResult(list(sweep), cycles)
 
 

@@ -16,15 +16,12 @@ the paper's argument, now with numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..config import volta_v100
-from ..gpu import simulate
-from ..workloads import get_kernel, scaled_imbalance_microbenchmark
-from .designs import get_design
+from .engine import SimPoint, get_engine
 from .report import series_table
 
 MIGRATION_LATENCIES = (0, 64, 256, 1024)
@@ -51,28 +48,24 @@ def run(
     imbalance: int = 16,
     latencies: Sequence[int] = MIGRATION_LATENCIES,
 ) -> WorkStealingResult:
-    workloads = {f"fma-{imbalance}x": scaled_imbalance_microbenchmark(imbalance, base_fmas=64)}
-    for app in apps:
-        workloads[app] = get_kernel(app)
-
-    designs: Dict[str, object] = {
-        "baseline": get_design("baseline"),
-        "srr": get_design("srr"),
-        "shuffle": get_design("shuffle"),
+    workloads = {
+        f"fma-{imbalance}x": SimPoint(
+            "scaled_imbalance_microbenchmark",
+            kernel={"imbalance": imbalance, "base_fmas": 64},
+        ),
+        **{app: SimPoint(app) for app in apps},
     }
+    designs = {d: {"design": d} for d in ("baseline", "srr", "shuffle")}
     for lat in latencies:
-        designs[f"steal_lat{lat}"] = volta_v100().replace(
-            name=f"volta+steal{lat}", work_stealing=True, migration_latency=lat
-        )
-
-    cycles: Dict[str, Dict[str, int]] = {d: {} for d in designs}
-    migrations: Dict[str, int] = {}
-    for wname, kernel in workloads.items():
-        for dname, cfg in designs.items():
-            stats = simulate(kernel, cfg, num_sms=1)
-            cycles[dname][wname] = stats.cycles
-            if dname == f"steal_lat{latencies[1] if len(latencies) > 1 else latencies[0]}":
-                migrations[wname] = sum(sm.migrations for sm in stats.sms)
+        steal = {"name": f"volta+steal{lat}", "work_stealing": True, "migration_latency": lat}
+        designs[f"steal_lat{lat}"] = {"overrides": steal}
+    points = {(w, d): replace(workloads[w], **f) for w in workloads for d, f in designs.items()}
+    stats = get_engine().run_many(points.values())
+    cycles = {d: {w: stats[points[w, d]].cycles for w in workloads} for d in designs}
+    counted = f"steal_lat{latencies[1] if len(latencies) > 1 else latencies[0]}"
+    migrations = {
+        w: sum(sm.migrations for sm in stats[points[w, counted]].sms) for w in workloads
+    }
     return WorkStealingResult(list(workloads), cycles, migrations)
 
 

@@ -3,8 +3,8 @@
 Every simulation point the :class:`~repro.experiments.engine
 .ExperimentEngine` resolves appends one line describing *how* it was
 resolved — memory hit, disk hit, fresh simulation, or in-parent retry —
-with the point's content-address key, wall time, worker process id and a
-digest of the resulting stats.  The manifest is what lets a batch run be
+with the point's content-address key, wall time, worker process id, a
+digest of the resulting stats and the events a trace's cycle cap dropped.  The manifest is what lets a batch run be
 audited after the fact: which points actually simulated, where the wall
 time went, whether two runs of the same point produced the same result
 (compare digests), and which trace files belong to which point.
@@ -94,8 +94,9 @@ class RunManifest:
         seconds: Optional[float] = None,
         worker: Optional[int] = None,
         trace: Optional[str] = None,
+        dropped: int = 0,
     ) -> None:
-        """Append one resolution record."""
+        """Append one resolution record (``dropped``: events a cycle cap cut, if any)."""
         if source not in self.SOURCES:
             raise ValueError(f"unknown manifest source {source!r}")
         entry: Dict[str, Any] = {
@@ -111,6 +112,8 @@ class RunManifest:
             entry["worker"] = worker
         if trace is not None:
             entry["trace"] = trace
+        if dropped > 0:
+            entry["dropped"] = dropped
         self._append(entry)
 
     def warn(self, kind: str, detail: str, point: Optional[str] = None) -> None:
@@ -167,7 +170,7 @@ def validate_manifest_record(record: Any) -> Tuple[str, List[str]]:
         for field in ("seconds",):
             if field in record and not isinstance(record[field], (int, float)):
                 problems.append(f"non-numeric {field!r}")
-        for field in ("worker",):
+        for field in ("worker", "dropped"):
             if field in record and not isinstance(record[field], int):
                 problems.append(f"non-integer {field!r}")
     else:

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 #: Version of the profile → trace synthesis pipeline.  Bump whenever the
-#: synthesizer (:mod:`repro.workloads.synth`) or the profile semantics
-#: change in a way that alters generated traces: the experiment engine's
-#: disk cache keys include this number, so bumping it invalidates every
-#: cached result derived from the old traces.
+#: synthesizer (:mod:`repro.workloads.synth`), a kernel builder
+#: (:mod:`repro.workloads.microbench`) or the profile semantics change in a
+#: way that alters generated traces: the experiment engine's disk cache
+#: keys include this number, so bumping it invalidates every cached result
+#: derived from the old traces.
 PROFILE_VERSION = 1
 
 

@@ -114,6 +114,24 @@ class TestObservabilityFlags:
         assert (trace_dir / "rod-nw--baseline--sms1.events.jsonl").is_file()
         assert (trace_dir / "manifest.jsonl").is_file()
 
+    def test_capped_trace_reports_its_dropped_events(
+        self, tmp_path, capsys, restore_engine
+    ):
+        from repro.obs import read_manifest
+
+        trace_dir = tmp_path / "traces"
+        args = [
+            "--trace-dir", str(trace_dir), "--trace-cycles", "2000", "--no-cache",
+            "--profile-report", "cg-lou:bank_stealing", "--workers", "1",
+        ]
+        assert main(args) == 0
+        # Traced engine points run with stall attribution, whose stall events
+        # the cap also cuts: 88840, where tests/test_golden.py's unattributed
+        # capped stream drops 66020.
+        assert "--trace-cycles 2000 cut 88840 events" in capsys.readouterr().out
+        (record,) = read_manifest(trace_dir / "manifest.jsonl")
+        assert record["dropped"] == 88840
+
 
 class TestRobustnessFlags:
     def test_resume_defaults_a_journal_path(self):

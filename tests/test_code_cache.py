@@ -72,6 +72,49 @@ class TestKeyInvalidation:
         )
 
 
+class TestKernelSpecs:
+    """A point's ``kernel`` spec: a profile variant or a builder's arguments."""
+
+    VARIANT = (("num_ctas", 8),)
+
+    def test_profile_variant_never_gets_the_plain_kernel(self, tmp_path):
+        plain, _ = get_compiled_kernel(APP, *LAYOUT, cache_dir=tmp_path)
+        variant, src = get_compiled_kernel(
+            APP, *LAYOUT, cache_dir=tmp_path, kernel=self.VARIANT
+        )
+        assert src == "compile"
+        assert (plain.num_ctas, variant.num_ctas) == (4, 8)
+        assert compiled_code_key(APP, *LAYOUT, self.VARIANT) != compiled_code_key(
+            APP, *LAYOUT
+        )
+        registry._COMPILED_MEMO.clear()  # a fresh process: the disk entry serves
+        again, src = get_compiled_kernel(
+            APP, *LAYOUT, cache_dir=tmp_path, kernel=self.VARIANT
+        )
+        assert (src, again.num_ctas) == ("disk", 8)
+        plain_again, src = get_compiled_kernel(APP, *LAYOUT, cache_dir=tmp_path)
+        assert (src, plain_again.num_ctas) == ("disk", 4)
+
+    def test_builder_kernel_compiles_then_loads(self, tmp_path):
+        spec = (("insts", 32), ("warps", 4))
+        kernel, src = get_compiled_kernel("ub-1op", *LAYOUT, cache_dir=tmp_path, kernel=spec)
+        assert (src, kernel.name, kernel.total_warps) == ("compile", "ub-1op", 4)
+        registry._COMPILED_MEMO.clear()
+        loaded, src = get_compiled_kernel("ub-1op", *LAYOUT, cache_dir=tmp_path, kernel=spec)
+        assert src == "disk"
+        cfg = volta_v100()
+        assert stats_digest(simulate(loaded, cfg, 1).to_payload()) == stats_digest(
+            simulate(kernel, cfg, 1).to_payload()
+        )
+
+    def test_builder_key_carries_profile_version(self, monkeypatch):
+        spec = (("fmas", 8), ("layout", "baseline"))
+        base = compiled_code_key("fma_microbenchmark", *LAYOUT, spec)
+        assert compiled_code_key("fma_microbenchmark", *LAYOUT, (("fmas", 16),) + spec[1:]) != base
+        monkeypatch.setattr(registry, "PROFILE_VERSION", "test-bump")
+        assert compiled_code_key("fma_microbenchmark", *LAYOUT, spec) != base
+
+
 class TestResolutionOrder:
     def test_compile_then_memory_then_disk(self, tmp_path):
         k1, src1 = get_compiled_kernel(APP, *LAYOUT, cache_dir=tmp_path)

@@ -158,6 +158,7 @@ class TestEngineTelemetry:
         assert len(records) == 1
         assert records[0]["source"] == "sim"
         assert records[0]["trace"] == str(chrome)
+        assert "dropped" not in records[0]  # written only when a cap cut events
         assert records[0]["key"] == point_key(POINT, trace=True)
 
     def test_cache_hits_are_recorded_with_matching_digests(self, tmp_path):
