@@ -7,9 +7,10 @@ from .._lazy import lazy_package
 if TYPE_CHECKING:
     from .characterize import TraceCharacteristics, characterization_table, characterize
     from .microbench import (
+        CU_VALIDATION_SHAPES,
         FMA_LAYOUTS,
         PAPER_FMA_COUNT,
-        cu_validation_microbenchmarks,
+        cu_validation_microbenchmark,
         fma_microbenchmark,
         scaled_imbalance_microbenchmark,
     )
@@ -37,7 +38,8 @@ __all__ = lazy_package(
             "TraceCharacteristics", "characterization_table", "characterize",
         ],
         "microbench": [
-            "FMA_LAYOUTS", "PAPER_FMA_COUNT", "cu_validation_microbenchmarks",
+            "CU_VALIDATION_SHAPES", "FMA_LAYOUTS", "PAPER_FMA_COUNT",
+            "cu_validation_microbenchmark",
             "fma_microbenchmark", "scaled_imbalance_microbenchmark",
         ],
         "profiles": ["PROFILE_VERSION", "AppProfile"],

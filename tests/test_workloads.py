@@ -11,12 +11,13 @@ from repro.workloads import (
     EXPECTED_APP_COUNT,
     RF_SENSITIVE_APPS,
     SENSITIVE_APPS,
+    CU_VALIDATION_SHAPES,
     AppProfile,
     all_profiles,
     app_names,
     build_kernel,
     build_warp_trace,
-    cu_validation_microbenchmarks,
+    cu_validation_microbenchmark,
     fma_microbenchmark,
     get_kernel,
     get_profile,
@@ -74,14 +75,14 @@ class TestScaledImbalance:
 
 class TestCUValidationSuite:
     def test_seven_kernels(self):
-        kernels = cu_validation_microbenchmarks(insts=32, warps=4)
+        kernels = {n: cu_validation_microbenchmark(n, insts=32, warps=4) for n in CU_VALIDATION_SHAPES}
         assert len(kernels) == 7
         for k in kernels.values():
             assert k.warps_per_cta == 4
 
     def test_conflict_variant_uses_one_parity(self):
-        kernels = cu_validation_microbenchmarks(insts=16, warps=1)
-        trace = kernels["ub-2op-conflict"].ctas[0].warps[0]
+        kernel = cu_validation_microbenchmark("ub-2op-conflict", insts=16, warps=1)
+        trace = kernel.ctas[0].warps[0]
         for inst in trace.instructions[:-1]:
             assert all(r % 2 == inst.src_regs[0] % 2 for r in inst.src_regs)
 
