@@ -1,15 +1,17 @@
 """Bench: regenerate Fig. 1 — fully-connected SM speedup across the registry."""
 
-from repro.experiments import fig01_partitioning as fig01
+from repro.experiments import speedups as sp
+from repro.experiments.report import average_speedups
+from repro.experiments.speedups import FIG01 as fig01
 
 from conftest import registry_apps, run_once
 
 
 def test_fig01_partitioning_loss(benchmark):
-    res = run_once(benchmark, fig01.run, apps=registry_apps())
+    rows = run_once(benchmark, fig01.run, apps=registry_apps())
     print()
-    print(fig01.format_result(res))
+    print(fig01.format_result(rows))
     # Paper: +13.2% average, with a large insensitive population.
-    assert 1.05 < res.average < 1.30
-    assert res.max_speedup > 1.15
-    assert 0.2 < res.sensitive_fraction() < 0.9
+    assert 1.05 < average_speedups(rows)["fully_connected"] < 1.30
+    assert sp.max_speedup(rows) > 1.15
+    assert 0.2 < sp.sensitive_fraction(rows) < 0.9

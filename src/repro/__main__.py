@@ -61,21 +61,23 @@ import os
 import sys
 from importlib import import_module
 
-#: Experiment name -> module under ``repro.experiments`` exposing ``main()``.
-#: Only the modules of the names requested are imported; ``list``, ``--help``
-#: and an unknown name import nothing beyond this file.
+#: Experiment name -> ``"module"`` or ``"module.ROW"`` under
+#: ``repro.experiments``: a figure module, or a row of one, exposing
+#: ``run()`` and ``format_result(result)``.  Only the modules of the names
+#: requested are imported; ``list``, ``--help`` and an unknown name import
+#: nothing beyond this file.
 EXPERIMENTS: dict[str, str] = {
-    "fig01": "fig01_partitioning",
+    "fig01": "speedups.FIG01",
     "fig03": "fig03_fma_imbalance",
     "fig08": "fig08_imbalance_scaling",
-    "fig09": "fig09_all_apps",
-    "fig10": "fig10_sensitive",
-    "fig11": "fig11_fc_rba",
-    "fig12": "fig12_cu_scaling",
+    "fig09": "speedups.FIG09",
+    "fig10": "speedups.FIG10",
+    "fig11": "speedups.FIG11",
+    "fig12": "speedups.FIG12",
     "fig13": "fig13_area_power",
     "fig14": "fig14_rf_utilization",
-    "fig15": "fig15_tpch_compressed",
-    "fig16": "fig16_tpch_uncompressed",
+    "fig15": "speedups.FIG15",
+    "fig16": "speedups.FIG16",
     "fig17": "fig17_issue_cov",
     "fig18": "fig18_sm_scaling",
     "cu-validation": "cu_validation",
@@ -92,8 +94,11 @@ EXPERIMENTS: dict[str, str] = {
 
 
 def experiment_module(name: str):
-    """Import and return the module behind a registered experiment name."""
-    return import_module(f"{__package__}.experiments.{EXPERIMENTS[name]}")
+    """Import the figure behind a registered experiment name: a module, or a
+    row of one; either has ``run()`` and ``format_result(result)``."""
+    module, _, row = EXPERIMENTS[name].partition(".")
+    figure = import_module(f"{__package__}.experiments.{module}")
+    return getattr(figure, row) if row else figure
 
 
 class _CLIError(ValueError):
@@ -255,7 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         status = _run_profile_report(opts["profile_report"])
     for name in names:
         print(f"\n=== {name} ===")
-        experiment_module(name).main()
+        figure = experiment_module(name)
+        print(figure.format_result(figure.run()))
     if opts["profile"]:
         print(f"\n{get_engine().profile_summary()}")
     if opts["trace"]:

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .project import (
     TAG_COLD,
     FunctionInfo,
     ProjectModel,
     TypeRef,
-    _self_attr,
 )
 
 #: Substrings of names/attributes whose ``if`` guards mark a cold region.

@@ -12,9 +12,9 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
-from .rules import RULES, check_tree, get_rule
+from .rules import check_tree, get_rule
 
 #: ``# simlint: ignore`` or ``# simlint: ignore[RPR001,RPR002]``
 _SUPPRESS_RE = re.compile(

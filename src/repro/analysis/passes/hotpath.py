@@ -28,7 +28,7 @@ suppresses a live finding — or an unknown tag — is itself a finding.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..callgraph import _mentions_cold_marker
 from ..project import (

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .hooks import PLAN_ENV, clear_plan, install_plan
-from .plan import FAULTS, SITES, FaultPlan, FaultRule, single_fault_plan
+from .plan import FAULTS, SITES, FaultPlan, single_fault_plan
 
 #: The smoke grid: two cheap apps under two designs (≈1 s per point).
 SMOKE_APPS = ("rod-nw", "cg-lou")

@@ -51,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Plan document layout version; loaders reject unknown versions.
 PLAN_SCHEMA_VERSION = 1

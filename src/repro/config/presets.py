@@ -8,7 +8,7 @@ fully-connected preset is the hypothetical monolithic SM of Fig. 1.
 
 from __future__ import annotations
 
-from .gpu_config import AssignmentPolicy, GPUConfig, MemoryConfig, SchedulerPolicy
+from .gpu_config import AssignmentPolicy, GPUConfig, SchedulerPolicy
 
 
 def volta_v100(**overrides) -> GPUConfig:

@@ -13,7 +13,7 @@ resolves the writeback cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..config import GPUConfig

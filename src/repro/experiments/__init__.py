@@ -1,8 +1,10 @@
-"""Experiment harnesses: one module per paper figure/table.
+"""Experiment harnesses: the paper's figures and tables.
 
-Each module exposes ``run(...)`` returning a result object with the
-figure's series, and ``format_result(...)``/``main()`` to print the same
-rows the paper reports.  EXPERIMENTS.md records paper-vs-measured for
+A figure is a module, or a row of :mod:`.speedups` (the speedup-over-
+baseline figures, Figs. 1, 9, 10, 11, 12, 15 and 16).  Either exposes
+``run(...)``, which returns the figure's result, and ``format_result(...)``,
+which renders the rows the paper reports; ``python -m repro NAME`` prints
+``format_result(run())``.  EXPERIMENTS.md records paper-vs-measured for
 every entry.
 """
 
@@ -16,17 +18,10 @@ if TYPE_CHECKING:
         ablation_baseline_scheduler,
         cu_validation,
         effect4_concurrent,
-        fig01_partitioning,
         fig03_fma_imbalance,
         fig08_imbalance_scaling,
-        fig09_all_apps,
-        fig10_sensitive,
-        fig11_fc_rba,
-        fig12_cu_scaling,
         fig13_area_power,
         fig14_rf_utilization,
-        fig15_tpch_compressed,
-        fig16_tpch_uncompressed,
         fig17_issue_cov,
         fig18_sm_scaling,
         hash_table_size,
@@ -35,6 +30,7 @@ if TYPE_CHECKING:
         work_stealing_study,
         rba_banks,
         rba_latency,
+        speedups,
     )
     from . import sweep
     from .engine import (
@@ -44,7 +40,7 @@ if TYPE_CHECKING:
         get_engine,
         point_key,
     )
-    from .export import dump_json, load_json, result_to_dict, stats_to_dict
+    from .export import dump_json, load_json, stats_to_dict
     from .designs import DESIGNS, design_names, get_design
 
 __all__ = lazy_package(
@@ -53,16 +49,14 @@ __all__ = lazy_package(
         "engine": [
             "ExperimentEngine", "SimPoint", "configure", "get_engine", "point_key",
         ],
-        "export": ["dump_json", "load_json", "result_to_dict", "stats_to_dict"],
+        "export": ["dump_json", "load_json", "stats_to_dict"],
         "designs": ["DESIGNS", "design_names", "get_design"],
     },
     submodules=(
         "ablation_bank_mapping", "ablation_baseline_scheduler", "cu_validation",
-        "effect4_concurrent", "fig01_partitioning", "fig03_fma_imbalance",
-        "fig08_imbalance_scaling", "fig09_all_apps", "fig10_sensitive", "fig11_fc_rba",
-        "fig12_cu_scaling", "fig13_area_power", "fig14_rf_utilization",
-        "fig15_tpch_compressed", "fig16_tpch_uncompressed", "fig17_issue_cov",
+        "effect4_concurrent", "fig03_fma_imbalance", "fig08_imbalance_scaling",
+        "fig13_area_power", "fig14_rf_utilization", "fig17_issue_cov",
         "fig18_sm_scaling", "hash_table_size", "headline", "subcore_granularity",
-        "work_stealing_study", "rba_banks", "rba_latency", "sweep",
+        "work_stealing_study", "rba_banks", "rba_latency", "speedups", "sweep",
     ),
 )

@@ -72,11 +72,3 @@ def format_result(res: BankMappingResult) -> str:
         f"{m}: {(res.rba_speedup(m) - 1) * 100:+.1f}%" for m in MAPPINGS
     )
     return f"{table}\n\nRBA gain by mapping — {gains}"
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

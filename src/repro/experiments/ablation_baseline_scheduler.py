@@ -112,11 +112,3 @@ def format_result(res: BaselineSchedulerResult) -> str:
         f"{table}\n\n{summary}\n"
         "RBA should be the only policy whose minimum stays at/above GTO."
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

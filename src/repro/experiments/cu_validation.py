@@ -114,11 +114,3 @@ def format_result(res: CUValidationResult) -> str:
         f"best: {res.best_cu_count()} CUs/sub-core "
         f"(paper: 2 CUs at 16.2% MAE; worst config 43%)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..config import GPUConfig, fully_connected, volta_v100
+from ..config import fully_connected, volta_v100
 from ..gpu import GPU
 from ..trace import KernelTrace, TraceBuilder, make_kernel
 
@@ -107,11 +107,3 @@ def format_result(res: Effect4Result) -> str:
         "conflicts and issue imbalance)"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -3,8 +3,8 @@
 The figure harnesses print human tables; this module serializes the same
 data as JSON so downstream tooling (plotting, regression tracking) can
 consume it.  Everything here is plain-stdlib JSON — dataclasses are
-flattened, numpy scalars coerced, and result objects of the experiment
-modules handled structurally (dataclass fields).
+flattened and numpy scalars coerced, so a figure's result (a dataclass, or
+plain rows) serializes as it is.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import dataclasses
 import json
 from typing import Any
 
-from ..metrics.stats import SimStats, SMStats
+from ..metrics.stats import SimStats
 
 
 def _coerce(value: Any) -> Any:
@@ -49,21 +49,9 @@ def stats_to_dict(stats: SimStats, include_timeline: bool = False) -> dict:
     return out
 
 
-def result_to_dict(result: Any) -> dict:
-    """Flatten any experiment result object (a dataclass) to a dict."""
-    if not dataclasses.is_dataclass(result):
-        raise TypeError("experiment results are dataclasses")
-    return _coerce(result)
-
-
 def dump_json(obj: Any, path=None, indent: int = 2) -> str:
     """Serialize a stats/result object; optionally write it to ``path``."""
-    if isinstance(obj, SimStats):
-        payload = stats_to_dict(obj)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        payload = result_to_dict(obj)
-    else:
-        payload = _coerce(obj)
+    payload = stats_to_dict(obj) if isinstance(obj, SimStats) else _coerce(obj)
     text = json.dumps(payload, indent=indent, sort_keys=True)
     if path is not None:
         with open(path, "w") as fh:

@@ -65,11 +65,3 @@ def format_result(res: Fig03Result) -> str:
         f"ampere: {res.unbalanced_slowdown('ampere'):.2f}x (paper A100: 3.9x), "
         f"kepler: {res.unbalanced_slowdown('kepler'):.2f}x (paper: ~1.0x)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -54,11 +54,3 @@ def format_result(res: Fig08Result) -> str:
         {d: sp[d] for d in DESIGNS},
         fmt="{:.2f}x",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -46,11 +46,3 @@ def format_result(res: Fig13Result) -> str:
         f"RBA: {res.overhead('2cu+rba', 'area'):+.1f}% area / "
         f"{res.overhead('2cu+rba', 'power'):+.1f}% power (paper: ~+1% / +1%)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

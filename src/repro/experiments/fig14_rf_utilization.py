@@ -107,11 +107,3 @@ def format_result(res: Fig14Result) -> str:
         "\n(paper rod-srad averages: baseline 22.2, RBA 27.1, fully-connected 23.4)"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

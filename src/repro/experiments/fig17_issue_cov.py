@@ -65,11 +65,3 @@ def format_result(res: Fig17Result) -> str:
         f"srr: {avg['srr']:.2f} (paper 0.11), shuffle: {avg['shuffle']:.2f}\n"
         f"largest baseline CoV: {worst_app} at {worst:.2f} (paper: q8 at 1.01)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

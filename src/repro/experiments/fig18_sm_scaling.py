@@ -108,11 +108,3 @@ def format_result(res: Fig18Result) -> str:
         )
     lines.append("(paper: ~100 partitioned at baseline, ~84 with the techniques)")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -60,11 +60,3 @@ def format_result(res: HashTableResult) -> str:
         f"{table}\n\n"
         f"max 4-vs-16-entry gap: {res.max_gap_percent():.1f}% (paper: within 2%)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

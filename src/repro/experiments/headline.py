@@ -80,11 +80,3 @@ def format_result(res: HeadlineResult) -> str:
         f"sensitive-app average speedup: "
         f"{(res.sensitive_average - 1) * 100:+.1f}%  (paper: +19.3%)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -62,11 +62,3 @@ def format_result(res: RBABanksResult) -> str:
         f"4 banks: {a4:+.1f}% (paper +15.4%); "
         f"benefit should shrink as banks scale"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

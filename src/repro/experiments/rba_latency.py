@@ -79,11 +79,3 @@ def format_result(res: RBALatencyResult) -> str:
         f"worst app: {worst_app} loses {worst_loss:.1f} pp "
         f"(paper: ply-2Dcon, ~5 pp)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -92,11 +92,3 @@ def format_result(res: GranularityResult) -> str:
         f"unbalanced FMA penalty grows with granularity: "
         + " -> ".join(f"{x:.2f}x" for x in unb)
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -92,11 +92,3 @@ def format_result(res: WorkStealingResult) -> str:
         f"free migration reaches {best_steal:.2f}x "
         "but requires full register-file state transfer (Sec. VII)"
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,7 @@ from ..config import GPUConfig, volta_v100
 from ..core import StreamingMultiprocessor
 from ..memory import MemorySubsystem, build_dram, build_l2
 from ..metrics import SimStats, SMStats
-from ..obs.stall import IDLE, empty_buckets
+from ..obs.stall import IDLE
 from ..trace import KernelTrace
 from .kernel import KernelLaunch
 from .tb_scheduler import ThreadBlockScheduler

@@ -14,7 +14,7 @@ block scheduling happens at kernel launch and on CTA completion).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Sequence, TYPE_CHECKING
 
 from ..trace import KernelTrace
 

@@ -13,7 +13,7 @@ completion time rather than issuing a duplicate request downstream.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 

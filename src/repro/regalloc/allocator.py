@@ -16,7 +16,7 @@ graph.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..isa import Instruction
 from ..trace import WarpTrace

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..isa import Instruction, MemRef, Opcode, bar, exit_
+from ..isa import Instruction, MemRef, Opcode, bar
 from .kernel_trace import CTATrace, KernelTrace
 from .warp_trace import WarpTrace
 

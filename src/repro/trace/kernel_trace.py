@@ -8,8 +8,8 @@ CTA-granularity deallocation, produces the sub-core imbalance pathology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List
 
 from .warp_trace import WarpTrace
 

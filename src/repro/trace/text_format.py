@@ -36,7 +36,7 @@ Grammar
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..isa import Instruction, MemRef, Opcode
 from .kernel_trace import CTATrace, KernelTrace

@@ -9,7 +9,7 @@ All functions return strings; nothing prints.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 #: Eighth-block characters for smooth horizontal bars.
 _BLOCKS = " ▏▎▍▌▋▊▉█"

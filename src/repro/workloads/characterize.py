@@ -14,7 +14,6 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import FuncUnit, Opcode
 from ..regalloc import get_mapping
 from ..trace import KernelTrace
 

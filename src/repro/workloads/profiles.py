@@ -28,7 +28,7 @@ Knob cheat-sheet (what creates which paper effect):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 #: Version of the profile → trace synthesis pipeline.  Bump whenever the

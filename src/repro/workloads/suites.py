@@ -19,7 +19,7 @@ attributes to it:
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

@@ -41,7 +41,8 @@ class TestCLI:
 
     def test_every_registered_name_is_callable(self):
         for name in EXPERIMENTS:
-            assert callable(experiment_module(name).main), name
+            figure = experiment_module(name)
+            assert callable(figure.run) and callable(figure.format_result), name
 
     def test_list_beside_other_names_prints_help(self, capsys):
         assert main(["list", "rba-banks"]) == 0

@@ -22,7 +22,7 @@ import pytest
 
 import repro.experiments.engine as eng
 from repro import _store
-from repro.experiments import fig01_partitioning
+from repro.experiments.speedups import FIG01
 from repro.experiments.engine import (
     ExperimentEngine,
     SimPoint,
@@ -561,18 +561,16 @@ class TestWarmCacheFigure:
         try:
             eng.configure(cache_dir=tmp_path, workers=1)
             apps = ["rod-nw", "tpcU-q3"]
-            first = fig01_partitioning.run(apps=apps)
-            expected_points = len(apps) * (
-                1 + len(fig01_partitioning.DESIGNS)
-            )
+            first = FIG01.run(apps=apps)
+            expected_points = len(apps) * (1 + len(FIG01.designs))
             assert eng.get_engine().profile.sims == expected_points
 
             eng.configure(cache_dir=tmp_path, workers=1)  # fresh memory
-            second = fig01_partitioning.run(apps=apps)
+            second = FIG01.run(apps=apps)
             prof = eng.get_engine().profile
             assert prof.sims == 0
             assert prof.disk_hits == expected_points
-            assert first.rows == second.rows
+            assert first == second
         finally:
             eng._engine = old
 

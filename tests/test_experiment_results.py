@@ -1,15 +1,13 @@
-"""Pure-logic tests for experiment result objects (no simulation)."""
+"""Pure-logic tests for experiment results and the reducers over them (no
+simulation).  The speedup figures' results are plain rows; their classes
+below test :mod:`repro.experiments.speedups`' functions of those rows."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.fig01_partitioning import Fig01Result
+from repro.experiments import speedups as sp
 from repro.experiments.fig03_fma_imbalance import Fig03Result
 from repro.experiments.fig08_imbalance_scaling import Fig08Result
-from repro.experiments.fig09_all_apps import Fig09Result
-from repro.experiments.fig11_fc_rba import Fig11Result
-from repro.experiments.fig12_cu_scaling import Fig12Result
-from repro.experiments.fig15_tpch_compressed import TpchResult
 from repro.experiments.fig17_issue_cov import Fig17Result
 from repro.experiments.headline import HeadlineResult
 from repro.experiments.cu_validation import (
@@ -17,20 +15,19 @@ from repro.experiments.cu_validation import (
     silicon_reference_cycles,
 )
 from repro.experiments.rba_latency import RBALatencyResult
+from repro.experiments.report import average_speedups
 
 
 class TestFig01Result:
     def test_statistics(self):
-        res = Fig01Result(
-            rows=[
-                ("a", {"fully_connected": 1.00}),
-                ("b", {"fully_connected": 1.20}),
-                ("c", {"fully_connected": 1.40}),
-            ]
-        )
-        assert res.average == pytest.approx(1.20)
-        assert res.max_speedup == pytest.approx(1.40)
-        assert res.sensitive_fraction(threshold=1.05) == pytest.approx(2 / 3)
+        rows = [
+            ("a", {"fully_connected": 1.00}),
+            ("b", {"fully_connected": 1.20}),
+            ("c", {"fully_connected": 1.40}),
+        ]
+        assert average_speedups(rows)["fully_connected"] == pytest.approx(1.20)
+        assert sp.max_speedup(rows) == pytest.approx(1.40)
+        assert sp.sensitive_fraction(rows, threshold=1.05) == pytest.approx(2 / 3)
 
 
 class TestFig03Result:
@@ -61,10 +58,9 @@ class TestFig09Result:
     ]
 
     def test_gap_and_winners(self):
-        res = Fig09Result(rows=self.ROWS)
-        assert res.averages()["shuffle_rba"] == pytest.approx(1.15)
-        assert res.combined_vs_fc_gap() == pytest.approx(-5.0)
-        assert res.apps_where_design_beats_fc() == ["b"]
+        assert average_speedups(self.ROWS)["shuffle_rba"] == pytest.approx(1.15)
+        assert sp.combined_vs_fc_gap(self.ROWS) == pytest.approx(-5.0)
+        assert sp.apps_where_design_beats_fc(self.ROWS) == ["b"]
 
 
 class TestFig11Result:
@@ -73,15 +69,13 @@ class TestFig11Result:
             ("rba-wins", {"rba": 1.3, "fully_connected": 1.1, "fc_rba": 1.25}),
             ("fc-wins", {"rba": 1.0, "fully_connected": 1.2, "fc_rba": 1.3}),
         ]
-        res = Fig11Result(rows=rows)
-        assert [r[0] for r in res.population()] == ["rba-wins"]
-        g = res.geomeans()
+        assert [r[0] for r in sp.population(rows)] == ["rba-wins"]
+        g = sp.population_geomeans(rows)
         assert g["fully_connected"] == pytest.approx(1.1)
 
     def test_empty_population_falls_back(self):
         rows = [("a", {"rba": 1.0, "fully_connected": 1.2, "fc_rba": 1.2})]
-        res = Fig11Result(rows=rows)
-        assert res.geomeans()["fc_rba"] == pytest.approx(1.2)
+        assert sp.population_geomeans(rows)["fc_rba"] == pytest.approx(1.2)
 
 
 class TestFig12Result:
@@ -93,9 +87,8 @@ class TestFig12Result:
                  "fully_connected": 1.05, "rba": 1.20},
             )
         ]
-        res = Fig12Result(rows=rows)
-        assert res.diminishing_returns() == pytest.approx(2.0)
-        gaps = res.cugraph_rba_vs_fc()
+        assert sp.diminishing_returns(rows) == pytest.approx(2.0)
+        gaps = sp.cugraph_rba_vs_fc(rows)
         assert gaps == [("cg-lou", pytest.approx(15.0))]
 
 
@@ -107,9 +100,8 @@ class TestTpchResult:
             ("q2", {"srr": 1.1, "shuffle": 1.15, "rba": 1.0,
                     "shuffle_rba": 1.12, "fully_connected": 1.1}),
         ]
-        res = TpchResult(rows=rows, suite="tpch-compressed")
-        assert res.srr_wins() == 1
-        assert res.averages()["srr"] == pytest.approx(1.2)
+        assert sp.srr_wins(rows) == 1
+        assert average_speedups(rows)["srr"] == pytest.approx(1.2)
 
 
 class TestFig17Result:

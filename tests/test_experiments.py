@@ -109,10 +109,10 @@ class TestFastFigures:
         assert "best: 2" in text
 
     def test_fig01_on_subset(self):
-        res = ex.fig01_partitioning.run(apps=["rod-nw", "tpcU-q3"])
-        assert len(res.rows) == 2
-        assert res.rows[1][1]["fully_connected"] > 1.0  # TPC-H gains from FC
-        assert "average" in ex.fig01_partitioning.format_result(res)
+        rows = ex.speedups.FIG01.run(apps=["rod-nw", "tpcU-q3"])
+        assert len(rows) == 2
+        assert rows[1][1]["fully_connected"] > 1.0  # TPC-H gains from FC
+        assert "average" in ex.speedups.FIG01.format_result(rows)
 
     def test_fig17_cov_collapse(self):
         res = ex.fig17_issue_cov.run(queries=["tpcU-q8"])

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro import simulate, volta_v100
-from repro.experiments import dump_json, load_json, result_to_dict, stats_to_dict
-from repro.experiments.fig01_partitioning import Fig01Result
+from repro.experiments import dump_json, load_json, stats_to_dict
+from repro.experiments import speedups
 from repro.workloads import fma_microbenchmark
 
 
@@ -43,13 +43,10 @@ class TestStatsExport:
 
 class TestResultExport:
     def test_figure_result_serializes(self):
-        res = Fig01Result(rows=[("a", {"fully_connected": 1.2})])
-        payload = json.loads(dump_json(res))
-        assert payload["rows"][0][0] == "a"
-
-    def test_non_dataclass_rejected(self):
-        with pytest.raises(TypeError):
-            result_to_dict(object())
+        rows = speedups.FIG01.run(["rod-nw"])
+        payload = json.loads(dump_json(rows))
+        assert payload[0][0] == "rod-nw"
+        assert payload[0][1] == rows[0][1]
 
     def test_plain_containers_pass_through(self):
         assert json.loads(dump_json({"x": [1, 2.5, None, True]})) == {
