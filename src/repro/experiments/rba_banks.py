@@ -9,9 +9,8 @@ GTO baseline *with the same bank count*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..workloads.registry import RF_SENSITIVE_APPS
 from .engine import SimPoint, get_engine
@@ -29,7 +28,7 @@ class RBABanksResult:
     rows: List[tuple]
 
     def average(self, key: str) -> float:
-        return float(np.mean([v[key] for _, v in self.rows]))
+        return fmean(v[key] for _, v in self.rows)
 
 
 def run(apps: Optional[Sequence[str]] = None) -> RBABanksResult:

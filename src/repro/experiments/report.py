@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from math import exp, log
+from statistics import fmean
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from .engine import SimPoint, get_engine
 
@@ -101,6 +101,6 @@ def average_speedups(
     """
     out: Dict[str, float] = {}
     for d in rows[0][1] if designs is None else designs:
-        vals = np.asarray([r[1][d] for r in rows], dtype=float)
-        out[d] = float(np.exp(np.log(vals).mean())) if summary == "geomean" else float(vals.mean())
+        vals = [r[1][d] for r in rows]
+        out[d] = exp(fmean(map(log, vals))) if summary == "geomean" else fmean(vals)
     return out

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 
 @dataclass
 class SMStats:
@@ -35,8 +33,12 @@ class SMStats:
         """Coefficient of variation of per-sub-core issued instructions.
 
         The Fig. 17 balance metric: ``sigma / mu`` over the four schedulers'
-        issue totals; 0 means perfectly balanced.
+        issue totals; 0 means perfectly balanced.  numpy is imported here,
+        not at module level, so a cache-hit run that reads stats never
+        loads it.
         """
+        import numpy as np
+
         counts = np.asarray(self.issue_counts, dtype=float)
         mu = counts.mean()
         if mu == 0:
@@ -206,6 +208,8 @@ class SimStats:
 
     def issue_cov(self) -> float:
         """Mean per-SM issue CoV over SMs that issued anything."""
+        import numpy as np
+
         covs = [sm.issue_cov() for sm in self.sms if sm.instructions]
         return float(np.mean(covs)) if covs else 0.0
 

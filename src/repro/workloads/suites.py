@@ -18,20 +18,10 @@ attributes to it:
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict
 
-import numpy as np
-
+from .draw import Draw, name_seed
 from .profiles import AppProfile
-
-
-def _seed(name: str) -> int:
-    return zlib.crc32(name.encode())
-
-
-def _rng(name: str) -> np.random.Generator:
-    return np.random.default_rng(_seed(name))
 
 
 # ---------------------------------------------------------------------------
@@ -42,22 +32,22 @@ CUGRAPH_APPS = ("cg-lou", "cg-bfs", "cg-sssp", "cg-pgrnk", "cg-wcc", "cg-katz", 
 
 
 def cugraph_profile(name: str) -> AppProfile:
-    rng = _rng(name)
+    rng = Draw(name_seed(name))
     return AppProfile(
         name=name,
         suite="cugraph",
-        seed=_seed(name),
+        seed=name_seed(name),
         warps_per_cta=32,
         num_ctas=4,
-        insts_per_warp=int(rng.integers(180, 260)),
-        mem_fraction=float(rng.uniform(0.06, 0.12)),
+        insts_per_warp=rng.integers(180, 260),
+        mem_fraction=rng.uniform(0.06, 0.12),
         fp_fraction=0.35,
         operand_weights=(0.20, 0.50, 0.30),
         read_regs=12,
         write_regs=16,
-        bank_bias=float(rng.uniform(0.80, 0.95)),
-        phase_len=int(rng.integers(48, 96)),
-        dep_fraction=float(rng.uniform(0.05, 0.12)),
+        bank_bias=rng.uniform(0.80, 0.95),
+        phase_len=rng.integers(48, 96),
+        dep_fraction=rng.uniform(0.05, 0.12),
         mem_locality=0.85,
         coalesced_lines=2,
         barrier=False,
@@ -80,23 +70,23 @@ PARBOIL_APPS = PARBOIL_SENSITIVE + (
 
 
 def parboil_profile(name: str) -> AppProfile:
-    rng = _rng(name)
+    rng = Draw(name_seed(name))
     if name in PARBOIL_SENSITIVE:
         return AppProfile(
             name=name,
             suite="parboil",
-            seed=_seed(name),
+            seed=name_seed(name),
             warps_per_cta=32,
             num_ctas=4,
-            insts_per_warp=int(rng.integers(200, 300)),
-            mem_fraction=float(rng.uniform(0.04, 0.10)),
+            insts_per_warp=rng.integers(200, 300),
+            mem_fraction=rng.uniform(0.04, 0.10),
             fp_fraction=0.55,
             sfu_fraction=0.05 if name == "pb-mriq" else 0.0,
             operand_weights=(0.15, 0.45, 0.40),
             read_regs=16,
             write_regs=16,
-            bank_bias=float(rng.uniform(0.55, 0.80)),
-            phase_len=int(rng.integers(40, 72)),
+            bank_bias=rng.uniform(0.55, 0.80),
+            phase_len=rng.integers(40, 72),
             dep_fraction=0.10,
             mem_locality=0.85,
             lds_fraction=0.08 if name == "pb-sgemm" else 0.0,
@@ -105,16 +95,16 @@ def parboil_profile(name: str) -> AppProfile:
     return AppProfile(
         name=name,
         suite="parboil",
-        seed=_seed(name),
+        seed=name_seed(name),
         warps_per_cta=24,
         num_ctas=4,
-        insts_per_warp=int(rng.integers(120, 200)),
-        mem_fraction=float(rng.uniform(0.25, 0.40)),
+        insts_per_warp=rng.integers(120, 200),
+        mem_fraction=rng.uniform(0.25, 0.40),
         fp_fraction=0.5,
         operand_weights=(0.35, 0.45, 0.20),
-        bank_bias=float(rng.uniform(0.0, 0.15)),
+        bank_bias=rng.uniform(0.0, 0.15),
         dep_fraction=0.25,
-        mem_locality=float(rng.uniform(0.35, 0.60)),
+        mem_locality=rng.uniform(0.35, 0.60),
         coalesced_lines=4 if name != "pb-spmv" else 8,
     )
 
@@ -145,23 +135,23 @@ RODINIA_APPS = RODINIA_SENSITIVE + (
 
 
 def rodinia_profile(name: str) -> AppProfile:
-    rng = _rng(name)
+    rng = Draw(name_seed(name))
     if name in RODINIA_SENSITIVE:
         return AppProfile(
             name=name,
             suite="rodinia",
-            seed=_seed(name),
+            seed=name_seed(name),
             warps_per_cta=32,
             num_ctas=4,
-            insts_per_warp=int(rng.integers(200, 280)),
-            mem_fraction=float(rng.uniform(0.05, 0.10)),
+            insts_per_warp=rng.integers(200, 280),
+            mem_fraction=rng.uniform(0.05, 0.10),
             lds_fraction=0.06 if name in ("rod-srad", "rod-htsp") else 0.0,
             fp_fraction=0.55,
             operand_weights=(0.15, 0.45, 0.40),
             read_regs=14,
             write_regs=16,
-            bank_bias=float(rng.uniform(0.55, 0.75)),
-            phase_len=int(rng.integers(48, 80)),
+            bank_bias=rng.uniform(0.55, 0.75),
+            phase_len=rng.integers(48, 80),
             dep_fraction=0.10,
             mem_locality=0.85,
             shared_mem_per_cta=16 * 1024,
@@ -171,19 +161,19 @@ def rodinia_profile(name: str) -> AppProfile:
     return AppProfile(
         name=name,
         suite="rodinia",
-        seed=_seed(name),
-        warps_per_cta=int(rng.choice([16, 24, 32])),
+        seed=name_seed(name),
+        warps_per_cta=rng.choice([16, 24, 32]),
         num_ctas=4,
-        insts_per_warp=int(rng.integers(100, 220)),
-        mem_fraction=float(rng.uniform(0.18, 0.35)),
-        fp_fraction=float(rng.uniform(0.4, 0.6)),
+        insts_per_warp=rng.integers(100, 220),
+        mem_fraction=rng.uniform(0.18, 0.35),
+        fp_fraction=rng.uniform(0.4, 0.6),
         operand_weights=(0.30, 0.45, 0.25),
-        bank_bias=float(rng.uniform(0.0, 0.20)),
-        dep_fraction=float(rng.uniform(0.15, 0.30)),
-        mem_locality=float(rng.uniform(0.40, 0.70)),
-        coalesced_lines=int(rng.choice([1, 2, 4])),
+        bank_bias=rng.uniform(0.0, 0.20),
+        dep_fraction=rng.uniform(0.15, 0.30),
+        mem_locality=rng.uniform(0.40, 0.70),
+        coalesced_lines=rng.choice([1, 2, 4]),
         divergence_period=8 if divergent else 0,
-        divergence_multiplier=float(rng.uniform(1.8, 2.6)) if divergent else 1.0,
+        divergence_multiplier=rng.uniform(1.8, 2.6) if divergent else 1.0,
     )
 
 
@@ -210,22 +200,22 @@ POLYBENCH_APPS = POLYBENCH_SENSITIVE + (
 
 
 def polybench_profile(name: str) -> AppProfile:
-    rng = _rng(name)
+    rng = Draw(name_seed(name))
     if name in POLYBENCH_SENSITIVE:
         return AppProfile(
             name=name,
             suite="polybench",
-            seed=_seed(name),
+            seed=name_seed(name),
             warps_per_cta=32,
             num_ctas=4,
-            insts_per_warp=int(rng.integers(220, 300)),
+            insts_per_warp=rng.integers(220, 300),
             mem_fraction=0.06,
             fp_fraction=0.6,
             operand_weights=(0.10, 0.50, 0.40),
             read_regs=16,
             write_regs=16,
-            bank_bias=float(rng.uniform(0.60, 0.80)),
-            phase_len=int(rng.integers(56, 96)),
+            bank_bias=rng.uniform(0.60, 0.80),
+            phase_len=rng.integers(56, 96),
             dep_fraction=0.08,
             mem_locality=0.9,
         )
@@ -233,16 +223,16 @@ def polybench_profile(name: str) -> AppProfile:
     return AppProfile(
         name=name,
         suite="polybench",
-        seed=_seed(name),
-        warps_per_cta=int(rng.choice([16, 32])),
+        seed=name_seed(name),
+        warps_per_cta=rng.choice([16, 32]),
         num_ctas=4,
-        insts_per_warp=int(rng.integers(120, 220)),
-        mem_fraction=0.15 if gemm_like else float(rng.uniform(0.28, 0.42)),
+        insts_per_warp=rng.integers(120, 220),
+        mem_fraction=0.15 if gemm_like else rng.uniform(0.28, 0.42),
         fp_fraction=0.65,
         operand_weights=(0.15, 0.45, 0.40) if gemm_like else (0.35, 0.45, 0.20),
-        bank_bias=float(rng.uniform(0.10, 0.30)) if gemm_like else 0.05,
+        bank_bias=rng.uniform(0.10, 0.30) if gemm_like else 0.05,
         dep_fraction=0.15,
-        mem_locality=0.75 if gemm_like else float(rng.uniform(0.30, 0.55)),
+        mem_locality=0.75 if gemm_like else rng.uniform(0.30, 0.55),
         coalesced_lines=1 if gemm_like else 4,
     )
 
@@ -264,22 +254,22 @@ DEEPBENCH_APPS = (
 
 
 def deepbench_profile(name: str) -> AppProfile:
-    rng = _rng(name)
+    rng = Draw(name_seed(name))
     train = name.endswith("-tr")
     return AppProfile(
         name=name,
         suite="deepbench",
-        seed=_seed(name),
+        seed=name_seed(name),
         warps_per_cta=32,
         num_ctas=4,
-        insts_per_warp=int(rng.integers(160, 240)),
-        mem_fraction=float(rng.uniform(0.10, 0.18)),
-        tensor_fraction=float(rng.uniform(0.15, 0.30)),
+        insts_per_warp=rng.integers(160, 240),
+        mem_fraction=rng.uniform(0.10, 0.18),
+        tensor_fraction=rng.uniform(0.15, 0.30),
         fp_fraction=0.7,
         operand_weights=(0.15, 0.45, 0.40),
         read_regs=16,
         write_regs=16,
-        bank_bias=float(rng.uniform(0.15, 0.35)),
+        bank_bias=rng.uniform(0.15, 0.35),
         dep_fraction=0.12 if train else 0.18,
         mem_locality=0.8,
         lds_fraction=0.05,
@@ -303,14 +293,14 @@ CUTLASS_APPS = (
 
 
 def cutlass_profile(name: str) -> AppProfile:
-    rng = _rng(name)
+    rng = Draw(name_seed(name))
     return AppProfile(
         name=name,
         suite="cutlass",
-        seed=_seed(name),
+        seed=name_seed(name),
         warps_per_cta=16,
         num_ctas=6,
-        insts_per_warp=int(rng.integers(180, 280)),
+        insts_per_warp=rng.integers(180, 280),
         mem_fraction=0.08,
         tensor_fraction=0.30,
         lds_fraction=0.10,
@@ -318,7 +308,7 @@ def cutlass_profile(name: str) -> AppProfile:
         operand_weights=(0.10, 0.40, 0.50),
         read_regs=18,
         write_regs=16,
-        bank_bias=float(rng.uniform(0.10, 0.25)),
+        bank_bias=rng.uniform(0.10, 0.25),
         dep_fraction=0.08,
         mem_locality=0.9,
         shared_mem_per_cta=48 * 1024,

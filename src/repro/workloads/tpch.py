@@ -20,11 +20,9 @@ balancing gain, 30.8 %).
 
 from __future__ import annotations
 
-import zlib
 from typing import TYPE_CHECKING, Dict, List
 
-import numpy as np
-
+from .draw import Draw, name_seed
 from .profiles import AppProfile
 
 if TYPE_CHECKING:
@@ -33,49 +31,45 @@ if TYPE_CHECKING:
 NUM_QUERIES = 22
 
 
-def _seed(name: str) -> int:
-    return zlib.crc32(name.encode())
-
-
 def tpch_profile(query: int, compressed: bool) -> AppProfile:
     """Profile of one TPC-H query."""
     if not 1 <= query <= NUM_QUERIES:
         raise ValueError(f"TPC-H has queries 1..{NUM_QUERIES}, got {query}")
     flavour = "tpcC" if compressed else "tpcU"
     name = f"{flavour}-q{query}"
-    rng = np.random.default_rng(_seed(name))
+    rng = Draw(name_seed(name))
 
     # Divergence depth: uncompressed queries span multipliers ~3-7 (CoV
     # around the paper's 0.8 average); the snappy kernel pushes compressed
     # queries far higher.  Query 8 is pinned at the top of its flavour.
     if compressed:
-        multiplier = float(rng.uniform(9.0, 16.0))
+        multiplier = rng.uniform(9.0, 16.0)
         if query == 9:
             multiplier = 18.0
     else:
-        multiplier = float(rng.uniform(3.0, 6.0))
+        multiplier = rng.uniform(3.0, 6.0)
         if query == 8:
             multiplier = 7.0
 
     return AppProfile(
         name=name,
         suite="tpch-compressed" if compressed else "tpch-uncompressed",
-        seed=_seed(name),
+        seed=name_seed(name),
         warps_per_cta=32,
         num_ctas=4,
-        insts_per_warp=int(rng.integers(90, 140)),
+        insts_per_warp=rng.integers(90, 140),
         # Query operators are scan-heavy but the *long* (decompression /
         # expression) warps dominate wall time; too much memory dilutes
         # the imbalance tail the balancing designs recover.
-        mem_fraction=float(rng.uniform(0.14, 0.22)),
+        mem_fraction=rng.uniform(0.14, 0.22),
         store_fraction=0.25,
         fp_fraction=0.25,  # DB operators are INT/compare heavy
         operand_weights=(0.35, 0.45, 0.20),
         read_regs=16,
         write_regs=16,
-        bank_bias=float(rng.uniform(0.05, 0.20)),
+        bank_bias=rng.uniform(0.05, 0.20),
         dep_fraction=0.20,
-        mem_locality=float(rng.uniform(0.55, 0.75)),
+        mem_locality=rng.uniform(0.55, 0.75),
         coalesced_lines=4,
         divergence_period=4,
         divergence_multiplier=multiplier,

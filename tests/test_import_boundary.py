@@ -137,6 +137,7 @@ def test_cli_names_that_run_nothing_import_nothing(tmp_path, args, status):
 def test_imports_stay_off_the_miss_path(tmp_path, code):
     _, modules, _ = run_fresh(tmp_path, "-c", code)
     assert loaded(modules, MISS_PATH_ONLY) == []
+    assert "numpy" not in modules
 
 
 def test_warm_figure_never_loads_the_simulator(tmp_path):
@@ -162,6 +163,9 @@ def test_warm_figure_never_loads_the_simulator(tmp_path):
     assert f"disk hits     {len(grid)}" in stdout
     assert "simulations   0" in stdout
     assert loaded(modules, MISS_PATH_ONLY) == []
+    # Profiles are drawn in-repo (``workloads.draw``) and the figure's
+    # averages are stdlib arithmetic: numpy is a miss-path import too.
+    assert "numpy" not in modules
     # Every hit went through the one store, which brings in nothing of its
     # own: the pickle codec stays in code_cache (listed above), and
     # ``tempfile`` loads at the first write — a warm run never writes.
