@@ -66,7 +66,8 @@ def speedup_table(
 
     agg = average_speedups(rows, designs, summary)
     agg_cells = "".join(f"{fmt_speedup(agg[d]):>{col_w}}" for d in designs)
-    lines.append(f"{summary and 'average':<{name_w}}" + agg_cells)
+    label = "geomean" if summary == "geomean" else "average"
+    lines.append(f"{label:<{name_w}}" + agg_cells)
     return "\n".join(lines)
 
 

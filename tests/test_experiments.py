@@ -63,7 +63,7 @@ class TestReport:
 
     def test_speedup_table_geomean(self):
         text = speedup_table("T", self.ROWS, summary="geomean")
-        assert "average" in text
+        assert "geomean" in text and "average" not in text
 
     def test_empty_rows(self):
         assert "no rows" in speedup_table("T", [])

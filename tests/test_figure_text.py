@@ -68,7 +68,7 @@ PINNED = {
     ),
     "fig11": (
         _text("fig11", TWO_APPS),
-        "7b5c185abf72ff361a8810a155ed89555399f50fa0fb6fc07a1bb2d460883dc0",
+        "4347d5b3ed162d037bce5a486206bdef0cef68f6a074d8916f62004549b18346",
         471,
     ),
     "fig12": (
