@@ -146,3 +146,16 @@ class TestFastFigures:
             partitioned_cycles={"slow": {"a": [2000, 1900]}},
         )
         assert res.equivalence_point("slow") == 5.0
+
+    def test_headline_without_sensitive_apps_simulates_only_its_apps(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import engine as eng
+
+        monkeypatch.setattr(eng, "_engine", eng._engine)  # restored at teardown
+        eng.configure(cache_dir=tmp_path, workers=1)
+        apps = ["ply-syrk", "rod-kmeans"]  # neither is in SENSITIVE_APPS
+        res = ex.headline.run(apps)
+        assert get_engine().profile.sims == len(apps) * (1 + len(ex.headline.DESIGNS))
+        assert res.sensitive_rows == []
+        assert "sensitive-app average speedup: n/a" in ex.headline.format_result(res)

@@ -126,8 +126,8 @@ PINNED = {
         "7561ec447c89833be3f13e9030d78921859dfdd116574b5c01d857a076215381",
         234,
     ),
-    # headline reduces over the sensitive apps among its population; with
-    # none it falls back to all of them, so the trimmed population has one.
+    # headline reduces over the sensitive apps among its population, so the
+    # trimmed population holds one.
     "headline": (
         _text("headline", ["ply-syrk", "rod-bp"]),
         "2a326f28f1f1824bab38e8c12064fb5c8ad2c0afb231063cb42df3d6704bf2fd",
