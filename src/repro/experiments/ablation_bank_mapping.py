@@ -16,9 +16,8 @@ schedules around is present in all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..config import SchedulerPolicy
 from ..workloads.registry import RF_SENSITIVE_APPS
@@ -37,10 +36,10 @@ class BankMappingResult:
     def rba_speedup(self, mapping: str) -> float:
         """Mean RBA speedup under one mapping."""
         vals = [b / r for b, r in self.cycles[mapping].values()]
-        return float(np.mean(vals))
+        return fmean(vals)
 
     def baseline_cycles(self, mapping: str) -> float:
-        return float(np.mean([b for b, _ in self.cycles[mapping].values()]))
+        return fmean(b for b, _ in self.cycles[mapping].values())
 
 
 def run(apps: Optional[Sequence[str]] = None) -> BankMappingResult:

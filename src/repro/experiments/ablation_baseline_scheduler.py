@@ -21,9 +21,8 @@ the apps: positive only for RBA.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..config import SchedulerPolicy
 from .engine import SimPoint, get_engine
@@ -63,18 +62,18 @@ class BaselineSchedulerResult:
         return {a: gto[a] / c for a, c in self.cycles[scheduler].items()}
 
     def mean_speedup(self, scheduler: str) -> float:
-        return float(np.mean(list(self.speedups_over_gto(scheduler).values())))
+        return fmean(self.speedups_over_gto(scheduler).values())
 
     def min_speedup(self, scheduler: str) -> float:
         """Worst-case over the apps — the robustness metric."""
-        return float(np.min(list(self.speedups_over_gto(scheduler).values())))
+        return min(self.speedups_over_gto(scheduler).values())
 
     def rba_gain_over(self, baseline: str) -> float:
         vals = [
             self.cycles[baseline][a] / self.cycles[SchedulerPolicy.RBA][a]
             for a in self.apps
         ]
-        return float(np.mean(vals))
+        return fmean(vals)
 
     def lrr_vs_gto(self) -> float:
         return self.mean_speedup(SchedulerPolicy.LRR)

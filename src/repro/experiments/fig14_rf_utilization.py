@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..metrics.stats import SimStats
 from .engine import SimPoint, get_engine
 from .report import series_table
@@ -39,11 +37,11 @@ class Fig14Result:
         s = self.stats[app][design]
         return s.rf_reads_per_cycle() * READS_PER_GRANT
 
-    def timeline(self, app: str, design: str) -> np.ndarray:
+    def timeline(self, app: str, design: str) -> List[int]:
         """Dense per-cycle reads array in the paper's unit."""
         s = self.stats[app][design]
         sm = s.sms[0]
-        arr = np.zeros(s.cycles, dtype=np.int64)
+        arr = [0] * s.cycles
         assert sm.rf_read_timeline is not None
         for cycle, grants in sm.rf_read_timeline:
             if cycle < s.cycles:
@@ -53,7 +51,7 @@ class Fig14Result:
     def low_utilization_cycles(self, app: str, design: str, threshold: int = 85) -> float:
         """Fraction of cycles with <= threshold reads (paper highlights 85)."""
         t = self.timeline(app, design)
-        return float((t <= threshold).mean())
+        return sum(1 for reads in t if reads <= threshold) / len(t)
 
 
 def run(apps: Optional[Tuple[str, ...]] = None) -> Fig14Result:

@@ -9,9 +9,8 @@ CoV from 0.80 to 0.11; query 8 has the largest baseline CoV at 1.01.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..workloads.registry import app_names
 from .engine import SimPoint, get_engine
@@ -28,7 +27,7 @@ class Fig17Result:
 
     def averages(self) -> Dict[str, float]:
         return {
-            d: float(np.mean([v[d] for _, v in self.rows])) for d in DESIGNS
+            d: fmean(v[d] for _, v in self.rows) for d in DESIGNS
         }
 
     def worst_baseline(self) -> Tuple[str, float]:

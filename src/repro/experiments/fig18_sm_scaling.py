@@ -15,9 +15,8 @@ baseline and 84/80 = 1.05 with the techniques.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from .engine import SimPoint, get_engine
 
@@ -55,7 +54,7 @@ class Fig18Result:
                 self.fc_cycles[app] / self.partitioned_cycles[design][app][i]
                 for app in self.fc_cycles
             ]
-            perf.append(float(np.mean(ratios)))
+            perf.append(fmean(ratios))
         xs, ys = self.sweep, perf
         if ys[0] >= 1.0:
             return float(xs[0])

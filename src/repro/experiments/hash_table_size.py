@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .report import speedup_table, speedups_over_baseline
 
 DEFAULT_APPS = (
@@ -39,7 +37,7 @@ class HashTableResult:
         gaps = [
             abs(v["16entry"] / v["4entry"] - 1.0) * 100.0 for _, v in self.rows
         ]
-        return float(np.max(gaps))
+        return max(gaps)
 
 
 def run(apps: Optional[Sequence[str]] = None) -> HashTableResult:

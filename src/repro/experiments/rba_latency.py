@@ -18,9 +18,8 @@ below GTO" and "most of the gain is intact at small latencies".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..workloads.registry import RF_SENSITIVE_APPS
 from .report import series_table, speedups_over_baseline
@@ -35,7 +34,7 @@ class RBALatencyResult:
     speedups: Dict[int, Dict[str, float]]
 
     def average_speedup(self, latency: int) -> float:
-        return float(np.mean(list(self.speedups[latency].values())))
+        return fmean(self.speedups[latency].values())
 
     def average_degradation(self) -> float:
         """Percentage points lost going from latency 0 to the max latency."""

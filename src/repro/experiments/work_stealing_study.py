@@ -17,9 +17,8 @@ the paper's argument, now with numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import fmean
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from .engine import SimPoint, get_engine
 from .report import series_table
@@ -40,7 +39,7 @@ class WorkStealingResult:
         return {w: base[w] / c for w, c in self.cycles[design].items()}
 
     def mean_speedup(self, design: str) -> float:
-        return float(np.mean(list(self.speedup(design).values())))
+        return fmean(self.speedup(design).values())
 
 
 def run(
