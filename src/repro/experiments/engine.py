@@ -364,6 +364,10 @@ def _load_simulator():
     parent *before* it forks, so every worker inherits the loaded modules
     instead of importing them again.
     """
+    # numpy imports ``numpy.random`` on first use; synthesis and Shuffle's
+    # tables draw from it, so load it here for the workers to inherit too.
+    import numpy.random  # noqa: F401
+
     from ..gpu.gpu import simulate
     from ..trace import code_cache, compiled  # noqa: F401
     from ..workloads import synth  # noqa: F401
