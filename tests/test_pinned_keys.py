@@ -6,9 +6,10 @@ trace-code-cache entry on a user's disk is named by these hashes, so they
 must not move: the values below were printed by the commit before the
 memo (PR 11) and a cache directory written by it is fully hit by this
 code.  They cover plain / sanitize / trace / ``collect_timeline`` /
-``num_sms=2`` / TPC-H apps / 4-bank designs.  (Profiles are drawn from
-``numpy.random.default_rng``; a numpy whose PCG64 stream differed would
-move them all at once.)
+``num_sms=2`` / TPC-H apps / 4-bank designs.  (Profiles are drawn by
+``repro.workloads.draw.Draw``, which reproduces numpy's ``default_rng``
+in-repo, so they no longer depend on the installed numpy; a draw that
+diverged would move every key of its app at once.)
 """
 
 from __future__ import annotations
