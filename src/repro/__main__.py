@@ -35,9 +35,10 @@ Observability options (see repro.obs and docs/observability.md)::
     --manifest PATH    # append run-manifest records (cache hits, sims,
                        # retries, structured warnings) to PATH without
                        # paying for full event tracing
-    --metrics-dir DIR  # enable the run-level metrics registry and write
-                       # metrics.prom (Prometheus text exposition) and
-                       # metrics.json (canonical JSON) there at exit
+    --metrics-dir DIR  # write metrics.json there at exit: the engine
+                       # profile (points and code artifacts by source,
+                       # degradations, phase times, per-worker seconds)
+                       # as of the end of the last batch
     --status-file PATH # write an atomic status.json heartbeat while
                        # batches run (done/failed/in-flight, per-worker
                        # last progress, ETA)
@@ -193,7 +194,8 @@ def _run_profile_report(spec: str) -> int:
     app, _, design = spec.partition(":")
     point = SimPoint(app=app, design=design or "baseline")
     try:
-        stats = get_engine().run_point(point)
+        # A batch of one, so a metrics document and a heartbeat see it.
+        stats = get_engine().run_many([point])[point]
     except KeyError as exc:
         print(f"--profile-report: unknown app or design: {exc}", file=sys.stderr)
         return 2
@@ -286,14 +288,11 @@ def main(argv: list[str] | None = None) -> int:
 
         out = Path(opts["metrics_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.prom").write_text(
-            metrics.to_prometheus(), encoding="utf-8"
-        )
         (out / "metrics.json").write_text(
             _json.dumps(metrics.to_json(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-        print(f"\nmetrics in {out}/ (metrics.prom, metrics.json)")
+        print(f"\nmetrics in {out}/metrics.json")
     return status
 
 

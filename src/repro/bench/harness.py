@@ -121,16 +121,8 @@ def run_suite(
     repeats: int = 2,
     stages: Optional[bool] = None,
     progress: bool = False,
-    metrics=None,
 ) -> dict:
-    """Run a named suite and assemble the machine-readable report.
-
-    ``metrics`` optionally takes a
-    :class:`~repro.obs.metrics.MetricsRegistry`; per-point wall time,
-    simulated cycles and normalized throughput land in it as labeled
-    series (same zero-overhead-when-off discipline as the engine: the
-    default ``None`` touches nothing).
-    """
+    """Run a named suite and assemble the machine-readable report."""
     points: Sequence[BenchPoint] = get_suite(suite)
     if stages is None:
         stages = suite == "full"
@@ -139,35 +131,13 @@ def run_suite(
     for point in points:
         if progress:
             print(f"[bench] {point.name}: {point.label()}", file=sys.stderr)
-        entry = run_point(
-            point, repeats=repeats, stages=stages, calibration=calibration
+        entries.append(
+            run_point(point, repeats=repeats, stages=stages, calibration=calibration)
         )
-        entries.append(entry)
-        if metrics is not None:
-            metrics.histogram(
-                "repro_bench_point_seconds",
-                "Best-of-repeats wall time per benchmark point.",
-                ("point",),
-            ).labels(point=point.name).observe(entry["wall_seconds"])
-            metrics.counter(
-                "repro_bench_cycles_total",
-                "Simulated cycles per benchmark point.",
-                ("point",),
-            ).labels(point=point.name).inc(entry["cycles"])
-    if metrics is not None:
-        metrics.gauge(
-            "repro_bench_calibration_ops_per_sec",
-            "Host-speed calibration score of the last suite run.",
-        ).set(calibration)
     total_wall = sum(e["wall_seconds"] for e in entries)
     total_cycles = sum(e["cycles"] for e in entries)
     total_insts = sum(e["instructions"] for e in entries)
     agg_cps = total_cycles / total_wall if total_wall > 0 else 0.0
-    if metrics is not None:
-        metrics.gauge(
-            "repro_bench_normalized_cycles_per_sec",
-            "Suite-level normalized throughput (the regression-gate figure).",
-        ).set(agg_cps / calibration if calibration else 0.0)
     return {
         "schema": REPORT_SCHEMA,
         "suite": suite,

@@ -75,9 +75,6 @@ class BaselineSchedulerResult:
         ]
         return fmean(vals)
 
-    def lrr_vs_gto(self) -> float:
-        return self.mean_speedup(SchedulerPolicy.LRR)
-
 
 def run(apps: Optional[Sequence[str]] = None) -> BaselineSchedulerResult:
     apps = list(apps) if apps is not None else list(DEFAULT_APPS)

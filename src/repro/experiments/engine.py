@@ -37,10 +37,12 @@ persisted and journaled per point *as they settle*
 the disk cache is a :class:`~repro._store.ContentStore`, which owns the
 atomic-write / quarantine / memory-only rule.
 
-Observability: the engine keeps per-point wall times and hit/miss/retry
-counters (:class:`EngineProfile`); ``python -m repro --profile`` prints
-them, and ``--workers/--cache-dir/--no-cache`` configure the process-wide
-engine (:func:`get_engine`) every figure module runs its points on.
+Observability: the engine keeps per-point wall times, hit/miss/retry,
+degradation and phase counters in one place (:class:`EngineProfile`);
+``python -m repro --profile`` prints them, ``--metrics-dir`` writes a
+snapshot of them (:mod:`repro.obs.metrics`), and
+``--workers/--cache-dir/--no-cache`` configure the process-wide engine
+(:func:`get_engine`) every figure module runs its points on.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _shallow_fields(point: SimPoint) -> tuple:
 
 @dataclass
 class EngineProfile:
-    """Counters and per-point wall times for one engine's lifetime."""
+    """The engine's counters and per-point wall times, for its lifetime."""
 
     mem_hits: int = 0
     disk_hits: int = 0
@@ -161,6 +163,15 @@ class EngineProfile:
     code_loads: int = 0
     #: Tracer events a ``trace_cycles`` cap cut (per point: the manifest).
     trace_dropped: int = 0
+    #: Degradation-ladder steps taken (``cache_quarantine``,
+    #: ``cache_degraded``, ``circuit_open``, ``interrupted``,
+    #: ``journal_mismatch``), by step.
+    degradations: Dict[str, int] = field(default_factory=dict)
+    #: Wall time and span count per engine phase: ``cache-load`` per batch,
+    #: ``plan`` per pool run, ``simulate`` per serial point or pool chunk,
+    #: ``retry`` per point retried in the parent.
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
+    phase_counts: Dict[str, int] = field(default_factory=dict)
     point_seconds: List[Tuple[str, float]] = field(default_factory=list)
     #: Simulation wall time accumulated per worker process id; the parent
     #: process appears under its own pid (serial runs and retries).
@@ -182,6 +193,10 @@ class EngineProfile:
         self.sims += 1
         self.point_seconds.append((label, secs))
         self.worker_seconds[worker] = self.worker_seconds.get(worker, 0.0) + secs
+
+    def note_phase(self, phase: str, secs: float) -> None:
+        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + secs
+        self.phase_counts[phase] = self.phase_counts.get(phase, 0) + 1
 
     def worker_skew(self) -> float:
         """Max/mean ratio of per-worker simulation wall time (1.0 = even).
@@ -464,27 +479,6 @@ def _simulate_chunk(fields_list: Sequence[tuple], **kwargs) -> List[tuple]:
     return [_simulate_point(fields, **kwargs) for fields in fields_list]
 
 
-#: The engine's labelled counters: family -> (metric name, help, label).
-_COUNTERS = {
-    "point": (
-        "repro_engine_points_total",
-        "Point resolutions by source (cache tier or simulation).",
-        "source",
-    ),
-    "code": (
-        "repro_engine_code_total",
-        "Compiled-trace artifact events by source (compile or disk load).",
-        "source",
-    ),
-    "degradation": (
-        "repro_engine_degradations_total",
-        "Degradation-ladder events by step (cache_quarantine, "
-        "cache_degraded, circuit_open, interrupted, journal_mismatch).",
-        "step",
-    ),
-}
-
-
 class ExperimentEngine:
     """Executes simulation points with caching, fan-out and robustness."""
 
@@ -533,10 +527,9 @@ class ExperimentEngine:
         self.manifest: Optional[RunManifest] = (
             RunManifest(manifest_path) if manifest_path is not None else None
         )
-        #: Optional run-level metrics registry (``repro.obs.metrics``).
-        #: ``None`` (the default) is the zero-overhead path: every hook is
-        #: an ``is not None`` test, no instrument exists, results are
-        #: byte-identical to an uninstrumented run.
+        #: Optional metrics document (``repro.obs.metrics``): handed
+        #: :attr:`profile` at the end of every :meth:`run_many`, and touched
+        #: nowhere else.
         self.metrics = metrics
         #: Optional live-health heartbeat: a status.json rewritten
         #: atomically while batches run (``repro.obs.heartbeat``).
@@ -604,7 +597,6 @@ class ExperimentEngine:
         trace: Optional[str] = None,
         dropped: int = 0,
     ) -> None:
-        self._count("point", source)
         if self.manifest is None:
             return
         self.manifest.record(
@@ -619,8 +611,8 @@ class ExperimentEngine:
         )
 
     def _warn(self, kind: str, detail: str, point: Optional[str] = None) -> None:
-        """One degradation-ladder step: manifest warning + metrics counter."""
-        self._count("degradation", kind)
+        """One degradation-ladder step: profile counter + manifest warning."""
+        self.profile.degradations[kind] = self.profile.degradations.get(kind, 0) + 1
         if self.manifest is not None:
             self.manifest.warn(kind, detail, point=point)
 
@@ -758,7 +750,7 @@ class ExperimentEngine:
             results[p] = stats
             if hb is not None:
                 hb.advance(done=1)
-        self._metric_phase("cache-load", time.perf_counter() - scan_t0)
+        self.profile.note_phase("cache-load", time.perf_counter() - scan_t0)
 
         if missing:
             use_pool = (
@@ -782,7 +774,8 @@ class ExperimentEngine:
             finally:
                 self._restore_sigterm(restore_term)
 
-        self._metric_batch(len(ordered), time.perf_counter() - batch_t0)
+        if self.metrics is not None:
+            self.metrics.publish(self.profile, len(ordered), time.perf_counter() - batch_t0)
         if hb is not None:
             hb.finish()
         return results
@@ -823,7 +816,7 @@ class ExperimentEngine:
 
         Every settled point is already on disk and in the journal
         (:meth:`_settle` runs per arrival), so all that remains is to say
-        so: a structured manifest warning, a metrics counter, and a final
+        so: a structured manifest warning, a profile counter, and a final
         heartbeat with state ``interrupted``.
         """
         self._progress_end()
@@ -860,7 +853,6 @@ class ExperimentEngine:
         """
         if code_source == "memory":
             return
-        self._count("code", code_source)
         if code_source == "compile":
             self.profile.code_compiles += 1
         elif code_source == "disk":
@@ -916,7 +908,7 @@ class ExperimentEngine:
         phase = "retry" if source == "retry" else "simulate"
         for point, key in missing:
             result = _simulate_point(_shallow_fields(point), **kwargs)
-            self._metric_phase(phase, result[2])
+            self.profile.note_phase(phase, result[2])
             done[point] = self._absorb(point, key, result, source)
             if self.heartbeat is not None:
                 self.heartbeat.advance(done=1)
@@ -1002,7 +994,7 @@ class ExperimentEngine:
         keymap = dict(missing)
         plan_t0 = time.perf_counter()
         chunks = self._plan_chunks(missing)
-        self._metric_phase("plan", time.perf_counter() - plan_t0)
+        self.profile.note_phase("plan", time.perf_counter() - plan_t0)
         hb = self.heartbeat
         try:
             pool = self._make_pool(len(chunks))
@@ -1087,7 +1079,7 @@ class ExperimentEngine:
                         )
                     else:
                         elapsed = now - submitted
-                        self._metric_phase("simulate", elapsed)
+                        self.profile.note_phase("simulate", elapsed)
                         self._pool_failures = 0
                         for p, res in zip(chunk, results):
                             done[p] = self._absorb(p, keymap[p], res, "sim")
@@ -1150,49 +1142,6 @@ class ExperimentEngine:
         )
 
     # -- observability -------------------------------------------------------
-
-    def _count(self, family: str, value: str) -> None:
-        """Increment one of the engine's labelled counters (:data:`_COUNTERS`)."""
-        if self.metrics is None:
-            return
-        name, help_text, label = _COUNTERS[family]
-        self.metrics.counter(name, help_text, (label,)).labels(**{label: value}).inc()
-
-    def _metric_phase(self, phase: str, secs: float) -> None:
-        """Observe one engine phase span (plan/cache-load/simulate/retry)."""
-        if self.metrics is None:
-            return
-        self.metrics.histogram(
-            "repro_engine_phase_seconds",
-            "Wall time of engine phases, per chunk or batch.",
-            ("phase",),
-        ).labels(phase=phase).observe(secs)
-
-    def _metric_batch(self, points: int, elapsed: float) -> None:
-        """Publish batch-level gauges after :meth:`run_many` settles."""
-        if self.metrics is None:
-            return
-        prof = self.profile
-        self.metrics.gauge(
-            "repro_engine_cache_hit_ratio",
-            "Fraction of point lookups served from a cache (0..1).",
-        ).set(prof.hit_rate())
-        self.metrics.gauge(
-            "repro_engine_worker_skew",
-            "Max/mean ratio of per-worker simulation wall time (1.0 = even).",
-        ).set(prof.worker_skew())
-        if elapsed > 0:
-            self.metrics.gauge(
-                "repro_engine_points_per_sec",
-                "Points resolved per wall-clock second over the last batch.",
-            ).set(points / elapsed)
-        seconds = self.metrics.gauge(
-            "repro_engine_worker_seconds_total",
-            "Simulation wall time accumulated per worker process.",
-            ("worker",),
-        )
-        for worker in sorted(prof.worker_seconds):
-            seconds.labels(worker=str(worker)).set(prof.worker_seconds[worker])
 
     def _progress_line(self, done: int, total: int) -> None:
         if self.progress:

@@ -15,7 +15,7 @@ if TYPE_CHECKING:
         speedup_table,
     )
     from .bounds import IPCBounds, bound_report, ipc_bounds
-    from .profile_report import compare_report, profile_report, stall_totals
+    from .profile_report import compare_report, profile_report
     from .stats import SimStats, SMStats
 
 __all__ = lazy_package(
@@ -26,7 +26,7 @@ __all__ = lazy_package(
             "percent_speedup", "speedup", "speedup_table",
         ],
         "bounds": ["IPCBounds", "bound_report", "ipc_bounds"],
-        "profile_report": ["compare_report", "profile_report", "stall_totals"],
+        "profile_report": ["compare_report", "profile_report"],
         "stats": ["SimStats", "SMStats"],
     },
 )

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from math import exp, log
+from statistics import fmean, pstdev
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 from .stats import SimStats
 
@@ -22,28 +22,28 @@ def percent_speedup(baseline: SimStats, design: SimStats) -> float:
 
 
 def geomean(values: Iterable[float]) -> float:
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    vals = [float(v) for v in values]
+    if not vals:
         raise ValueError("geomean of empty sequence")
-    if np.any(arr <= 0):
+    if min(vals) <= 0:
         raise ValueError("geomean requires positive values")
-    return float(np.exp(np.log(arr).mean()))
+    return exp(fmean(map(log, vals)))
 
 
 def mean(values: Iterable[float]) -> float:
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    vals = [float(v) for v in values]
+    if not vals:
         raise ValueError("mean of empty sequence")
-    return float(arr.mean())
+    return fmean(vals)
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
-    """``sigma / mu`` — the Fig. 17 imbalance metric."""
-    arr = np.asarray(values, dtype=float)
-    mu = arr.mean()
+    """``sigma / mu`` (population sigma) — the Fig. 17 imbalance metric."""
+    vals = [float(v) for v in values]
+    mu = fmean(vals)
     if mu == 0:
         return 0.0
-    return float(arr.std() / mu)
+    return pstdev(vals, mu) / mu
 
 
 def mean_absolute_error(reference: Sequence[float], measured: Sequence[float]) -> float:
@@ -52,13 +52,11 @@ def mean_absolute_error(reference: Sequence[float], measured: Sequence[float]) -
     Used by the Sec. V collector-unit validation: per-benchmark
     ``|measured - reference| / reference`` averaged, x100.
     """
-    ref = np.asarray(reference, dtype=float)
-    got = np.asarray(measured, dtype=float)
-    if ref.shape != got.shape:
+    if len(reference) != len(measured):
         raise ValueError("reference and measured must be the same length")
-    if np.any(ref == 0):
+    if any(r == 0 for r in reference):
         raise ValueError("reference values must be non-zero")
-    return float(np.abs((got - ref) / ref).mean() * 100.0)
+    return fmean(abs((g - r) / r) for r, g in zip(reference, measured)) * 100.0
 
 
 def speedup_table(

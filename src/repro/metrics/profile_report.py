@@ -8,30 +8,13 @@ the quantities this paper's analysis sections reason about.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .stats import SimStats, SMStats
 
 
 def _pct(part: float, whole: float) -> str:
     return f"{part / whole:6.1%}" if whole else "   n/a"
-
-
-def stall_totals(stats: SimStats) -> Dict[str, int]:
-    """Issue slots per stall-attribution bucket, summed over every
-    sub-core of every SM.
-
-    The run must have been simulated with ``stall_attribution`` on;
-    otherwise the result is empty.  This is the aggregate both
-    :func:`repro.obs.metrics.record_stats_metrics` and the dashboard's
-    stacked bars are built from — one definition, reused.
-    """
-    totals: Dict[str, int] = {}
-    for sm in stats.sms:
-        for buckets in sm.stall_cycles or ():
-            for bucket, slots in buckets.items():
-                totals[bucket] = totals.get(bucket, 0) + slots
-    return totals
 
 
 def profile_sm(sm: SMStats, cycles: int) -> List[str]:

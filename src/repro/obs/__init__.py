@@ -17,10 +17,11 @@ zero-overhead when off):
   digest), now schema-versioned and validated, and :class:`RunJournal`,
   the crash-safe append-only index of completed point keys that powers
   ``python -m repro --resume`` (see ``docs/robustness.md``);
-* **run metrics** — :class:`MetricsRegistry` (counters, gauges,
-  histograms with label sets) exported as Prometheus text exposition and
-  canonical JSON, plus the :class:`Heartbeat` status.json writer for
-  live run health;
+* **run metrics** — :class:`MetricsRegistry`, the run's ``metrics.json``:
+  a snapshot of the engine's one set of counters
+  (:class:`~repro.experiments.engine.EngineProfile`) at the end of each
+  batch, plus the :class:`Heartbeat` status.json writer for live run
+  health;
 * **dashboard** — ``python -m repro.obs --dashboard`` renders one
   static HTML report merging manifests, stall attribution, metrics,
   status and the committed ``BENCH_*.json`` trajectory.
@@ -33,7 +34,7 @@ CLI::
     python -m repro.obs --dashboard --out report.html [INPUTS...]
 
 See ``docs/observability.md`` for the event schema, the taxonomy
-definitions, the exposition grammar, and how to open traces in Perfetto.
+definitions, the metrics document, and how to open traces in Perfetto.
 """
 
 from typing import TYPE_CHECKING
@@ -65,17 +66,7 @@ if TYPE_CHECKING:
         validate_manifest,
         validate_manifest_record,
     )
-    from .metrics import (
-        METRICS_SCHEMA_VERSION,
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsRegistry,
-        parse_prometheus_text,
-        record_stats_metrics,
-        validate_metrics_json,
-        validate_prometheus_text,
-    )
+    from .metrics import METRICS_SCHEMA_VERSION, MetricsRegistry, validate_metrics_json
     from .stall import STALL_BUCKETS, empty_buckets, merge_buckets
     from .tracer import Tracer
 
@@ -100,11 +91,7 @@ __all__ = lazy_package(
             "MANIFEST_SCHEMA_VERSION", "RunManifest", "read_manifest", "stats_digest",
             "validate_manifest", "validate_manifest_record",
         ],
-        "metrics": [
-            "METRICS_SCHEMA_VERSION", "Counter", "Gauge", "Histogram",
-            "MetricsRegistry", "parse_prometheus_text", "record_stats_metrics",
-            "validate_metrics_json", "validate_prometheus_text",
-        ],
+        "metrics": ["METRICS_SCHEMA_VERSION", "MetricsRegistry", "validate_metrics_json"],
         "stall": ["STALL_BUCKETS", "empty_buckets", "merge_buckets"],
         "tracer": ["Tracer"],
     },

@@ -88,7 +88,7 @@ def _validate_one(path: str) -> bool:
         if problems:
             _print_problems(path, problems)
             return False
-        print(f"{path}: OK ({len(payload['metrics'])} metric families)")
+        print(f"{path}: OK ({len(payload['metrics'])} quantities)")
         return True
     if kind == "status":
         problems = validate_status(payload)

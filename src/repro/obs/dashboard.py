@@ -10,8 +10,8 @@ cycles go, and is it getting faster*:
 * **bench reports** (``BENCH_*.json``) — the committed performance
   trajectory via :mod:`repro.bench.history`, plus stacked
   stall-attribution bars from the newest report carrying stage shares;
-* **metrics exports** (``metrics.json``) — the run's counter/gauge/
-  histogram series;
+* **metrics exports** (``metrics.json``) — the engine profile's
+  quantities as of the end of the run's last batch;
 * **status files** (``status.json``) — the last heartbeat of a live run.
 
 Inputs are classified by shape (:func:`classify_input`), validated with
@@ -500,26 +500,12 @@ def _render_metrics(model: Dict[str, Any]) -> List[str]:
         out.append("<section>")
         out.append(f"<h2>metrics — {_esc(Path(name).name)}</h2>")
         out.append("<table>")
-        out.append(
-            "<tr><th>metric</th><th>type</th><th>labels</th>"
-            '<th class="num">value</th></tr>'
-        )
-        for entry in doc["metrics"]:
-            for sample in entry["samples"]:
-                labels = ", ".join(
-                    f"{k}={v}" for k, v in sorted(sample["labels"].items())
-                )
-                if entry["type"] == "histogram":
-                    value = (
-                        f"n={sample['count']}, sum={sample['sum']:.4g}"
-                    )
-                else:
-                    value = f"{sample['value']:.6g}"
+        out.append('<tr><th>quantity</th><th>key</th><th class="num">value</th></tr>')
+        for quantity, value in sorted(doc["metrics"].items()):
+            for key, number in sorted(value.items()) if isinstance(value, dict) else [("", value)]:
                 out.append(
-                    f"<tr><td>{_esc(entry['name'])}</td>"
-                    f"<td>{_esc(entry['type'])}</td>"
-                    f"<td>{_esc(labels) or '—'}</td>"
-                    f'<td class="num">{_esc(value)}</td></tr>'
+                    f"<tr><td>{_esc(quantity)}</td><td>{_esc(key) or '—'}</td>"
+                    f'<td class="num">{number:.6g}</td></tr>'
                 )
         out.append("</table>")
         out.append("</section>")

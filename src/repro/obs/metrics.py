@@ -1,627 +1,106 @@
-"""Run-level metrics: a registry of counters, gauges and histograms.
+"""The run's metrics document: a snapshot of the engine's profile.
 
-The registry follows the same design discipline as the tracer
-(:mod:`repro.obs.tracer`): **zero overhead when off**.  Nothing in the
-simulator constructs a registry by default; instrumented code holds an
-``Optional[MetricsRegistry]`` and guards every observation with
-``if metrics is not None`` — a disabled run executes one attribute test
-per potential observation and allocates nothing.  A regression test pins
-that a metered engine run produces byte-identical stats digests to a
-plain one.
+The experiment engine keeps one set of counters,
+:class:`~repro.experiments.engine.EngineProfile`.  A
+:class:`MetricsRegistry` given to the engine (``ExperimentEngine(metrics=
+...)``, ``python -m repro --metrics-dir DIR``) receives that profile once,
+at the end of each batch, and :meth:`MetricsRegistry.to_json` writes it
+out as plain numbers (``metrics.json``).  Nothing is recorded while points
+resolve, so a metered run is a plain run plus one snapshot per batch, and
+its stats digests are byte-identical to a plain run's.
 
-Instruments:
-
-* :class:`Counter` — a monotonically increasing total (``inc``);
-* :class:`Gauge` — a value that goes both ways (``set``/``inc``);
-* :class:`Histogram` — observation counts in cumulative buckets plus
-  a sum (``observe``), Prometheus ``le`` semantics.
-
-Every instrument is a *family*: label names are declared at registration
-and each distinct label-value tuple materializes one child series
-(``family.labels(phase="simulate").inc()``).  Children are stored in an
-insertion-ordered dict and exports sort them by label values, so exports
-are deterministic for a deterministic observation sequence.
-
-Two export formats, both schema-checked:
-
-* :meth:`MetricsRegistry.to_prometheus` — the text exposition format
-  (``# HELP``/``# TYPE`` + samples); :func:`validate_prometheus_text`
-  re-checks the grammar and histogram invariants, and
-  :func:`parse_prometheus_text` round-trips the samples;
-* :meth:`MetricsRegistry.to_json` — a canonical JSON document stamped
-  with :data:`METRICS_SCHEMA_VERSION`; :func:`validate_metrics_json`
-  validates it and :meth:`MetricsRegistry.from_json` reconstructs an
-  equal registry (``to_json`` round-trip).
-
-Like the event schema, the JSON schema is drift-guarded: simcheck's
-RPR301 contract check fails CI when this module changes without an
-acknowledged ``analysis/contracts.json`` refresh.
+The document is ``{"schema": METRICS_SCHEMA_VERSION, "metrics": {...}}``;
+each quantity of :data:`QUANTITIES` is a number or a map of names to
+numbers.  :func:`validate_metrics_json` gates it in ``python -m repro.obs
+--validate`` and the dashboard.  Like the event schema, the document is
+drift-guarded: simcheck's RPR301 contract check fails CI when this module
+changes without an acknowledged ``analysis/contracts.json`` refresh.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List
 
-#: Version of the metrics JSON export schema (document layout, sample
-#: shapes, bucket encoding).  Bump whenever :meth:`MetricsRegistry.to_json`
-#: output changes shape; external dashboards key on it.
-METRICS_SCHEMA_VERSION = 1
+#: Version of the metrics JSON document.  Bump whenever
+#: :meth:`MetricsRegistry.to_json` output changes shape; external
+#: dashboards key on it.  2: a snapshot of the engine profile, plain numbers.
+METRICS_SCHEMA_VERSION = 2
 
-#: Default histogram bounds for wall-time observations (seconds).
-DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
-    0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0,
-)
-
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-def _format_value(value: float) -> str:
-    """Shortest exact decimal for a sample value (ints stay integral)."""
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    if isinstance(value, int) or float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-class _Instrument:
-    """One family: declared labels, children keyed by label values."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help_text: str, label_names: Sequence[str]):
-        self.name = name
-        self.help = help_text
-        self.label_names = tuple(label_names)
-        self._children: Dict[Tuple[str, ...], Any] = {}
-
-    def labels(self, **labels: str) -> Any:
-        """The child series for one label-value assignment (memoized)."""
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name}: expected labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        key = tuple(str(labels[n]) for n in self.label_names)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
-
-    def _make_child(self) -> Any:
-        raise NotImplementedError
-
-    def _sorted_children(self) -> List[Tuple[Tuple[str, ...], Any]]:
-        return sorted(self._children.items())
-
-    def _label_str(self, values: Tuple[str, ...], extra: str = "") -> str:
-        parts = [
-            f'{name}="{_escape_label_value(value)}"'
-            for name, value in zip(self.label_names, values)
-        ]
-        if extra:
-            parts.append(extra)
-        return "{" + ",".join(parts) + "}" if parts else ""
-
-
-class _CounterChild:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-
-class Counter(_Instrument):
-    """A monotonically increasing total."""
-
-    kind = "counter"
-
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild()
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Increment the unlabeled series (families without labels)."""
-        if self.label_names:
-            raise ValueError(f"{self.name} is labeled; use .labels(...)")
-        self.labels().inc(amount)
-
-
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down."""
-
-    kind = "gauge"
-
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild()
-
-    def set(self, value: float) -> None:
-        if self.label_names:
-            raise ValueError(f"{self.name} is labeled; use .labels(...)")
-        self.labels().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self.label_names:
-            raise ValueError(f"{self.name} is labeled; use .labels(...)")
-        self.labels().inc(amount)
-
-
-class _HistogramChild:
-    __slots__ = ("bounds", "bucket_counts", "total", "count")
-
-    def __init__(self, bounds: Tuple[float, ...]) -> None:
-        self.bounds = bounds
-        self.bucket_counts = [0] * len(bounds)
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.total += value
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
-
-
-class Histogram(_Instrument):
-    """Observations in cumulative ``le`` buckets, plus sum and count."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        label_names: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-    ):
-        super().__init__(name, help_text, label_names)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError(f"{name}: bucket bounds must strictly increase")
-        #: Finite bounds; the ``+Inf`` bucket is implicit (== count).
-        self.bounds = bounds
-
-    def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self.bounds)
-
-    def observe(self, value: float) -> None:
-        if self.label_names:
-            raise ValueError(f"{self.name} is labeled; use .labels(...)")
-        self.labels().observe(value)
+#: Every quantity of the document: name -> ``True`` for a map of names to
+#: numbers, ``False`` for one number.
+QUANTITIES = {
+    "points": True,  # point resolutions by source: memory, disk, sim, retry
+    "code": True,  # compiled-trace artifacts by source: compile, disk
+    "degradations": True,  # degradation-ladder steps taken, by step
+    "phase_seconds": True,  # wall time per engine phase
+    "phase_counts": True,  # spans per engine phase
+    "cache_hit_ratio": False,
+    "worker_skew": False,  # max/mean simulation seconds per worker
+    "points_per_sec": False,  # over the last batch
+    "worker_seconds": True,  # simulation seconds per worker pid
+}
 
 
 class MetricsRegistry:
-    """A named collection of instrument families.
-
-    Instantiate one per run (the engine does when metrics are enabled);
-    never a process-wide default — the absence of a registry is what
-    makes the disabled path free.
-    """
+    """Holds the metrics document of one run (empty until a batch ends)."""
 
     def __init__(self) -> None:
-        self._families: Dict[str, _Instrument] = {}
+        self.metrics: Dict[str, Any] = {}
 
-    def __len__(self) -> int:
-        return len(self._families)
+    def publish(self, profile: Any, points: int, seconds: float) -> None:
+        """Snapshot ``profile`` after a batch of ``points`` in ``seconds``.
 
-    def families(self) -> List[_Instrument]:
-        return [self._families[name] for name in sorted(self._families)]
-
-    def _register(self, instrument: _Instrument) -> Any:
-        name = instrument.name
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        for label in instrument.label_names:
-            if not _LABEL_RE.match(label) or label == "le":
-                raise ValueError(f"{name}: invalid label name {label!r}")
-        existing = self._families.get(name)
-        if existing is not None:
-            if (
-                type(existing) is not type(instrument)
-                or existing.label_names != instrument.label_names
-            ):
-                raise ValueError(f"metric {name!r} re-registered differently")
-            return existing
-        self._families[name] = instrument
-        return instrument
-
-    def counter(
-        self, name: str, help_text: str, label_names: Sequence[str] = ()
-    ) -> Counter:
-        return self._register(Counter(name, help_text, label_names))
-
-    def gauge(
-        self, name: str, help_text: str, label_names: Sequence[str] = ()
-    ) -> Gauge:
-        return self._register(Gauge(name, help_text, label_names))
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        label_names: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-    ) -> Histogram:
-        return self._register(Histogram(name, help_text, label_names, buckets))
-
-    # -- exports -----------------------------------------------------------
-
-    def to_prometheus(self) -> str:
-        """The text exposition format (one family per HELP/TYPE block)."""
-        lines: List[str] = []
-        for family in self.families():
-            help_text = family.help.replace("\\", "\\\\").replace("\n", "\\n")
-            lines.append(f"# HELP {family.name} {help_text}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for values, child in family._sorted_children():
-                if isinstance(family, Histogram):
-                    cumulative = 0
-                    for bound, in_bucket in zip(child.bounds, child.bucket_counts):
-                        cumulative += in_bucket
-                        labels = family._label_str(
-                            values, f'le="{_format_value(bound)}"'
-                        )
-                        lines.append(
-                            f"{family.name}_bucket{labels} {cumulative}"
-                        )
-                    labels = family._label_str(values, 'le="+Inf"')
-                    lines.append(f"{family.name}_bucket{labels} {child.count}")
-                    plain = family._label_str(values)
-                    lines.append(
-                        f"{family.name}_sum{plain} {_format_value(child.total)}"
-                    )
-                    lines.append(f"{family.name}_count{plain} {child.count}")
-                else:
-                    labels = family._label_str(values)
-                    lines.append(
-                        f"{family.name}{labels} {_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + "\n" if lines else ""
+        Takes the :class:`~repro.experiments.engine.EngineProfile`
+        duck-typed, so this module never imports the engine.
+        """
+        self.metrics = {
+            "points": {
+                "memory": profile.mem_hits,
+                "disk": profile.disk_hits,
+                "sim": profile.sims - profile.retries,
+                "retry": profile.retries,
+            },
+            "code": {"compile": profile.code_compiles, "disk": profile.code_loads},
+            "degradations": dict(sorted(profile.degradations.items())),
+            "phase_seconds": dict(sorted(profile.phase_seconds.items())),
+            "phase_counts": dict(sorted(profile.phase_counts.items())),
+            "cache_hit_ratio": profile.hit_rate(),
+            "worker_skew": profile.worker_skew(),
+            "points_per_sec": points / seconds if seconds > 0 else 0.0,
+            "worker_seconds": {
+                str(worker): secs for worker, secs in sorted(profile.worker_seconds.items())
+            },
+        }
 
     def to_json(self) -> Dict[str, Any]:
-        """Canonical, schema-versioned JSON document."""
-        metrics: List[Dict[str, Any]] = []
-        for family in self.families():
-            samples: List[Dict[str, Any]] = []
-            for values, child in family._sorted_children():
-                labels = dict(zip(family.label_names, values))
-                if isinstance(family, Histogram):
-                    samples.append(
-                        {
-                            "labels": labels,
-                            "buckets": {
-                                _format_value(b): c
-                                for b, c in zip(child.bounds, child.bucket_counts)
-                            },
-                            "sum": child.total,
-                            "count": child.count,
-                        }
-                    )
-                else:
-                    samples.append({"labels": labels, "value": child.value})
-            entry: Dict[str, Any] = {
-                "name": family.name,
-                "type": family.kind,
-                "help": family.help,
-                "label_names": list(family.label_names),
-                "samples": samples,
-            }
-            if isinstance(family, Histogram):
-                entry["bounds"] = [float(b) for b in family.bounds]
-            metrics.append(entry)
-        return {"schema": METRICS_SCHEMA_VERSION, "metrics": metrics}
-
-    @classmethod
-    def from_json(cls, doc: Mapping[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_json` output (round-trip)."""
-        problems = validate_metrics_json(doc)
-        if problems:
-            raise ValueError(f"invalid metrics document: {problems[0]}")
-        registry = cls()
-        for entry in doc["metrics"]:
-            name, kind = entry["name"], entry["type"]
-            label_names = entry["label_names"]
-            if kind == "counter":
-                family: _Instrument = registry.counter(
-                    name, entry["help"], label_names
-                )
-            elif kind == "gauge":
-                family = registry.gauge(name, entry["help"], label_names)
-            else:
-                family = registry.histogram(
-                    name, entry["help"], label_names, buckets=entry["bounds"]
-                )
-            for sample in entry["samples"]:
-                child = family.labels(**sample["labels"])
-                if kind == "histogram":
-                    child.bucket_counts = [
-                        sample["buckets"][_format_value(b)] for b in family.bounds
-                    ]
-                    child.total = sample["sum"]
-                    child.count = sample["count"]
-                else:
-                    child.value = sample["value"]
-        return registry
+        """The schema-versioned document ``metrics.json`` holds."""
+        return {"schema": METRICS_SCHEMA_VERSION, "metrics": self.metrics}
 
 
-# -- stats → labeled series ---------------------------------------------------
-
-
-def record_stats_metrics(registry: MetricsRegistry, stats: Any) -> None:
-    """Feed one run's :class:`~repro.metrics.SimStats` into the registry.
-
-    Takes the stats object duck-typed (``cycles``, ``instructions``,
-    ``sms`` with per-SM ``stall_cycles`` bucket dicts) so this module
-    never imports the model.  The SM/sub-core layer's existing
-    stall-attribution buckets become the labeled series
-    ``repro_stall_slots_total{bucket=...}`` — no new per-cycle hooks, the
-    accounting the sanitizer already conservation-checks is simply
-    re-exported.
-    """
-    registry.counter(
-        "repro_sim_cycles_total", "Simulated cycles across runs."
-    ).inc(stats.cycles)
-    registry.counter(
-        "repro_sim_instructions_total", "Simulated instructions across runs."
-    ).inc(stats.instructions)
-    stalls = registry.counter(
-        "repro_stall_slots_total",
-        "Issue slots by stall-attribution bucket (see repro.obs.stall).",
-        ("bucket",),
-    )
-    for sm in stats.sms:
-        for buckets in sm.stall_cycles or ():
-            for bucket, slots in buckets.items():
-                stalls.labels(bucket=bucket).inc(slots)
-
-
-# -- validation ---------------------------------------------------------------
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_metrics_json(doc: Any) -> List[str]:
     """Structural problems of a metrics JSON document (empty = valid)."""
-    problems: List[str] = []
     if not isinstance(doc, dict):
         return ["metrics document must be a JSON object"]
+    problems: List[str] = []
     if doc.get("schema") != METRICS_SCHEMA_VERSION:
         problems.append(
             f"schema {doc.get('schema')!r} != supported {METRICS_SCHEMA_VERSION}"
         )
     metrics = doc.get("metrics")
-    if not isinstance(metrics, list):
-        return problems + ["missing or non-list 'metrics'"]
-    for i, entry in enumerate(metrics):
-        where = f"metrics[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be an object")
-            continue
-        name = entry.get("name")
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            problems.append(f"{where}: invalid name {name!r}")
-            name = f"<{i}>"
-        kind = entry.get("type")
-        if kind not in ("counter", "gauge", "histogram"):
-            problems.append(f"{name}: unknown type {kind!r}")
-            continue
-        if not isinstance(entry.get("help"), str):
-            problems.append(f"{name}: missing help text")
-        label_names = entry.get("label_names")
-        if not isinstance(label_names, list) or not all(
-            isinstance(n, str) and _LABEL_RE.match(n) and n != "le"
-            for n in label_names
+    if not isinstance(metrics, dict):
+        return problems + ["missing or non-object 'metrics'"]
+    for name, value in sorted(metrics.items()):
+        if name not in QUANTITIES:
+            problems.append(f"unknown quantity {name!r}")
+        elif not QUANTITIES[name]:
+            if not _is_number(value):
+                problems.append(f"{name}: must be a number")
+        elif not isinstance(value, dict) or not all(
+            isinstance(k, str) and _is_number(v) for k, v in value.items()
         ):
-            problems.append(f"{name}: invalid label_names {label_names!r}")
-            label_names = []
-        bounds = entry.get("bounds")
-        if kind == "histogram":
-            if (
-                not isinstance(bounds, list)
-                or not bounds
-                or not all(isinstance(b, (int, float)) for b in bounds)
-                or any(b <= a for a, b in zip(bounds, bounds[1:]))
-            ):
-                problems.append(
-                    f"{name}: histogram bounds must be a strictly "
-                    "increasing number list"
-                )
-                continue
-        elif bounds is not None:
-            problems.append(f"{name}: only histograms carry bounds")
-        samples = entry.get("samples")
-        if not isinstance(samples, list):
-            problems.append(f"{name}: missing samples list")
-            continue
-        for j, sample in enumerate(samples):
-            swhere = f"{name}.samples[{j}]"
-            if not isinstance(sample, dict) or not isinstance(
-                sample.get("labels"), dict
-            ):
-                problems.append(f"{swhere}: must be an object with labels")
-                continue
-            if sorted(sample["labels"]) != sorted(label_names):
-                problems.append(
-                    f"{swhere}: labels {sorted(sample['labels'])} != "
-                    f"declared {sorted(label_names)}"
-                )
-            if kind == "histogram":
-                buckets = sample.get("buckets")
-                count = sample.get("count")
-                if not isinstance(buckets, dict) or not isinstance(count, int):
-                    problems.append(f"{swhere}: missing buckets/count")
-                    continue
-                expected = [_format_value(float(b)) for b in entry["bounds"]]
-                if sorted(buckets) != sorted(expected):
-                    problems.append(
-                        f"{swhere}: bucket keys do not match bounds"
-                    )
-                elif sum(buckets.values()) > count:
-                    problems.append(
-                        f"{swhere}: bucketed observations exceed count"
-                    )
-                if not isinstance(sample.get("sum"), (int, float)):
-                    problems.append(f"{swhere}: missing sum")
-            elif not isinstance(sample.get("value"), (int, float)):
-                problems.append(f"{swhere}: missing numeric value")
-    return problems
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r" (?P<value>[^ ]+)$"
-)
-_LABEL_PAIR_RE = re.compile(
-    r'^(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"$'
-)
-
-
-def _parse_sample_value(raw: str) -> Optional[float]:
-    if raw == "+Inf":
-        return float("inf")
-    if raw == "-Inf":
-        return float("-inf")
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
-def parse_prometheus_text(
-    text: str,
-) -> Tuple[Dict[str, Dict[str, Any]], List[str]]:
-    """Parse an exposition document into families; returns (families, problems).
-
-    Families map name → ``{"type", "help", "samples"}`` where samples map
-    a rendered label string to the float value.  Used by
-    :func:`validate_prometheus_text` and the export round-trip test.
-    """
-    families: Dict[str, Dict[str, Any]] = {}
-    problems: List[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP ") or line.startswith("# TYPE "):
-            parts = line.split(" ", 3)
-            if len(parts) < 4 or not _NAME_RE.match(parts[2]):
-                problems.append(f"line {lineno}: malformed {parts[1]} line")
-                continue
-            family = families.setdefault(
-                parts[2], {"type": None, "help": None, "samples": {}}
-            )
-            key = "help" if parts[1] == "HELP" else "type"
-            if family[key] is not None:
-                problems.append(f"line {lineno}: duplicate {parts[1]} for {parts[2]}")
-            family[key] = parts[3]
-            if key == "type" and parts[3] not in ("counter", "gauge", "histogram"):
-                problems.append(f"line {lineno}: unknown type {parts[3]!r}")
-            continue
-        if line.startswith("#"):
-            continue  # free-form comment
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            problems.append(f"line {lineno}: unparseable sample {line!r}")
-            continue
-        name = match.group("name")
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            stripped = name[: -len(suffix)] if name.endswith(suffix) else None
-            if stripped and families.get(stripped, {}).get("type") == "histogram":
-                base = stripped
-                break
-        family = families.get(base)
-        if family is None or family.get("type") is None:
-            problems.append(f"line {lineno}: sample {name!r} precedes its # TYPE")
-            continue
-        labels = match.group("labels")
-        for pair in labels.split(",") if labels else ():
-            if not _LABEL_PAIR_RE.match(pair):
-                problems.append(f"line {lineno}: malformed label {pair!r}")
-        value = _parse_sample_value(match.group("value"))
-        if value is None:
-            problems.append(f"line {lineno}: non-numeric value")
-            continue
-        sample_key = f"{name}{{{labels}}}" if labels else name
-        if sample_key in family["samples"]:
-            problems.append(f"line {lineno}: duplicate sample {sample_key}")
-        family["samples"][sample_key] = value
-    return families, problems
-
-
-def validate_prometheus_text(text: str) -> List[str]:
-    """Grammar and invariant problems of an exposition document.
-
-    Beyond line grammar (checked by the parser): every family has HELP
-    and TYPE, histograms carry ``_count``/``_sum`` and a ``+Inf`` bucket
-    per series, and cumulative bucket counts never decrease as ``le``
-    grows.
-    """
-    families, problems = parse_prometheus_text(text)
-    for name, family in sorted(families.items()):
-        if family["type"] is None:
-            problems.append(f"{name}: missing # TYPE")
-            continue
-        if family["help"] is None:
-            problems.append(f"{name}: missing # HELP")
-        if family["type"] != "histogram":
-            continue
-        series: Dict[str, Dict[float, float]] = {}
-        counts: Dict[str, float] = {}
-        for key, value in family["samples"].items():
-            if key.startswith(f"{name}_bucket"):
-                labels = key[len(f"{name}_bucket") :]
-                le_match = re.search(r'le="([^"]*)"', labels)
-                if le_match is None:
-                    problems.append(f"{name}: bucket sample without le: {key}")
-                    continue
-                le = _parse_sample_value(le_match.group(1))
-                if le is None:
-                    problems.append(f"{name}: non-numeric le in {key}")
-                    continue
-                rest = re.sub(r',?le="[^"]*"', "", labels).strip("{},")
-                series.setdefault(rest, {})[le] = value
-            elif key.startswith(f"{name}_count"):
-                rest = key[len(f"{name}_count") :].strip("{}")
-                counts[rest] = value
-        for rest, buckets in sorted(series.items()):
-            if float("inf") not in buckets:
-                problems.append(f"{name}{{{rest}}}: no +Inf bucket")
-                continue
-            ordered = sorted(buckets)
-            values = [buckets[le] for le in ordered]
-            if any(b < a for a, b in zip(values, values[1:])):
-                problems.append(
-                    f"{name}{{{rest}}}: bucket counts decrease with le"
-                )
-            if rest in counts and buckets[float("inf")] != counts[rest]:
-                problems.append(
-                    f"{name}{{{rest}}}: +Inf bucket != _count"
-                )
+            problems.append(f"{name}: must map names to numbers")
     return problems

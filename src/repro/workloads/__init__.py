@@ -29,7 +29,7 @@ if TYPE_CHECKING:
         suites,
     )
     from .synth import build_cta_trace, build_kernel, build_warp_trace
-    from .tpch import all_tpch_profiles, tpch_kernel, tpch_profile, tpch_queries
+    from .tpch import all_tpch_profiles, tpch_profile, tpch_queries
 
 __all__ = lazy_package(
     __name__,
@@ -49,6 +49,6 @@ __all__ = lazy_package(
             "get_compiled_kernel", "get_kernel", "get_profile", "suites",
         ],
         "synth": ["build_cta_trace", "build_kernel", "build_warp_trace"],
-        "tpch": ["all_tpch_profiles", "tpch_kernel", "tpch_profile", "tpch_queries"],
+        "tpch": ["all_tpch_profiles", "tpch_profile", "tpch_queries"],
     },
 )

@@ -19,9 +19,12 @@ at a CTA-wide barrier:
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
-from ..trace import KernelTrace, TraceBuilder, WarpTrace, make_kernel
+# The trace toolchain loads when a builder runs, not on import: a point key
+# names a builder through this module's tables, and a cache hit builds nothing.
+if TYPE_CHECKING:
+    from ..trace import KernelTrace, WarpTrace
 
 #: Fig. 4 layouts.
 FMA_LAYOUTS = ("baseline", "balanced", "unbalanced")
@@ -31,10 +34,14 @@ PAPER_FMA_COUNT = 4096
 
 
 def _fma_warp(fmas: int) -> WarpTrace:
+    from ..trace import TraceBuilder
+
     return TraceBuilder().fma_chain(fmas).barrier().build()
 
 
 def _empty_warp() -> WarpTrace:
+    from ..trace import TraceBuilder
+
     return TraceBuilder().barrier().build()
 
 
@@ -52,6 +59,8 @@ def fma_microbenchmark(
     4096) — the speedup ratios converge well before that; pass
     ``PAPER_FMA_COUNT`` for the full-length run.
     """
+    from ..trace import make_kernel
+
     if layout not in FMA_LAYOUTS:
         raise ValueError(f"layout must be one of {FMA_LAYOUTS}")
     if layout == "baseline":
@@ -90,6 +99,8 @@ def scaled_imbalance_microbenchmark(
     increasing it deepens the inter-warp divergence that sub-core
     assignment must smooth.
     """
+    from ..trace import make_kernel
+
     if imbalance < 1:
         raise ValueError("imbalance must be >= 1")
     warps: List[WarpTrace] = []
@@ -114,6 +125,7 @@ def _conflict_warp(insts: int, operands: int, window: int, stride: int) -> WarpT
     so the stress sits in the read-operand stage, not one execution port.
     """
     from ..isa import Instruction, Opcode
+    from ..trace import WarpTrace
 
     fp_ops = {1: Opcode.FADD, 2: Opcode.FADD, 3: Opcode.FFMA}
     int_ops = {1: Opcode.SHF, 2: Opcode.IADD, 3: Opcode.IMAD}
@@ -141,6 +153,7 @@ CU_VALIDATION_SHAPES = {
 
 def _mixed_warp(insts: int) -> WarpTrace:
     from ..isa import Instruction, Opcode
+    from ..trace import WarpTrace
 
     body = []
     for i in range(insts // 2):
@@ -154,6 +167,8 @@ def _mixed_warp(insts: int) -> WarpTrace:
 
 def cu_validation_microbenchmark(name: str, insts: int = 256, warps: int = 16) -> KernelTrace:
     """One of the seven bank-conflict stress kernels (:data:`CU_VALIDATION_SHAPES`)."""
+    from ..trace import make_kernel
+
     shape = CU_VALIDATION_SHAPES[name]
     trace = _mixed_warp(insts) if shape is None else _conflict_warp(insts, *shape)
     return make_kernel(name, [trace] * warps)

@@ -20,13 +20,10 @@ balancing gain, 30.8 %).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict, List
 
 from .draw import Draw, name_seed
 from .profiles import AppProfile
-
-if TYPE_CHECKING:
-    from ..trace.kernel_trace import KernelTrace
 
 NUM_QUERIES = 22
 
@@ -81,12 +78,6 @@ def tpch_profile(query: int, compressed: bool) -> AppProfile:
 def tpch_queries(compressed: bool) -> List[AppProfile]:
     """All 22 query profiles of one flavour."""
     return [tpch_profile(q, compressed) for q in range(1, NUM_QUERIES + 1)]
-
-
-def tpch_kernel(query: int, compressed: bool) -> KernelTrace:
-    from .synth import build_kernel
-
-    return build_kernel(tpch_profile(query, compressed))
 
 
 def all_tpch_profiles() -> Dict[str, AppProfile]:

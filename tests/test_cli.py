@@ -69,20 +69,15 @@ class TestObservabilityFlags:
     def test_profile_report_runs_one_point(
         self, tmp_path, capsys, restore_engine
     ):
-        assert (
-            main(
-                [
-                    "--profile-report",
-                    "rod-nw:baseline",
-                    "--workers",
-                    "1",
-                ]
-            )
-            == 0
-        )
+        import json
+
+        args = ["--profile-report", "rod-nw:baseline", "--workers", "1"]
+        assert main(args + ["--metrics-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "profile: rod-nw" in out
         assert "issue stalls" in out
+        doc = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+        assert sum(doc["metrics"]["points"].values()) == 1
 
     def test_profile_report_unknown_app(self, capsys, restore_engine):
         assert main(["--profile-report", "no-such-app", "--workers", "1"]) == 2
@@ -132,6 +127,40 @@ class TestObservabilityFlags:
         assert "--trace-cycles 2000 cut 88840 events" in capsys.readouterr().out
         (record,) = read_manifest(trace_dir / "manifest.jsonl")
         assert record["dropped"] == 88840
+
+    def test_metrics_dir_writes_a_snapshot_of_the_profile(
+        self, tmp_path, capsys, monkeypatch, restore_engine
+    ):
+        import json
+
+        from repro.experiments import rba_banks
+        from repro.experiments.engine import get_engine
+        from repro.obs import validate_metrics_json
+
+        monkeypatch.setattr(rba_banks, "RF_SENSITIVE_APPS", ["ply-syrk"])
+        out = tmp_path / "metrics"
+        args = [
+            "--workers", "1", "--cache-dir", str(tmp_path / "cache"),
+            "--metrics-dir", str(out), "--profile", "rba-banks",
+        ]
+        assert main(args) == 0
+        assert "simulations   4" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.json"]
+        doc = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        assert validate_metrics_json(doc) == []
+        prof, got = get_engine().profile, doc["metrics"]
+        assert got["points"] == {
+            "memory": prof.mem_hits, "disk": prof.disk_hits, "sim": 4, "retry": 0
+        }
+        assert prof.sims == 4
+        assert got["code"] == {"compile": prof.code_compiles, "disk": prof.code_loads}
+        assert got["degradations"] == prof.degradations == {}
+        assert got["phase_counts"] == prof.phase_counts == {"cache-load": 1, "simulate": 4}
+        assert got["phase_seconds"] == prof.phase_seconds
+        assert got["worker_seconds"] == {str(w): s for w, s in prof.worker_seconds.items()}
+        assert got["cache_hit_ratio"] == prof.hit_rate()
+        assert got["worker_skew"] == prof.worker_skew()
+        assert got["points_per_sec"] > 0
 
 
 class TestRobustnessFlags:

@@ -18,6 +18,7 @@ from repro.bench.history import (
     history_table,
     load_history,
 )
+from repro.experiments.engine import EngineProfile
 from repro.obs.__main__ import main as obs_main
 from repro.obs.dashboard import (
     build_dashboard,
@@ -73,8 +74,11 @@ def _write_artifacts(tmp_path: Path) -> dict:
     manifest.record("p × a", "key1", "memory", "digest1")
     manifest.warn("chunk_timeout", "chunk 0 stuck", point="chunk:app")
 
+    profile = EngineProfile(mem_hits=1, misses=1)
+    profile.note_sim("p × a", 1.0, worker=42)
+    profile.note_phase("simulate", 1.0)
     registry = MetricsRegistry()
-    registry.counter("x_total", "help", ("l",)).labels(l="a").inc(2)
+    registry.publish(profile, points=2, seconds=1.0)
     (tmp_path / "metrics.json").write_text(
         json.dumps(registry.to_json()), encoding="utf-8"
     )
@@ -156,7 +160,8 @@ class TestDashboard:
         assert "performance trajectory" in html_text
         assert "issue slots went" in html_text
         assert "run health" in html_text
-        assert "metrics" in html_text
+        assert "metrics — metrics.json" in html_text
+        assert "<td>points</td><td>memory</td>" in html_text
         # Structured warning and digest mismatch surface as problems.
         assert "chunk 0 stuck" in html_text
         assert "nondeterminism suspect" not in html_text  # digests agree here
@@ -245,7 +250,7 @@ class TestCLI:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "records" in out and "metric families" in out
+        assert "records" in out and "9 quantities" in out
         assert "state" in out and "bench points" in out
 
     def test_obs_validate_rejects_unknown_manifest_version(self, tmp_path, capsys):

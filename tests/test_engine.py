@@ -765,7 +765,7 @@ class TestProgressAndProfile:
 
 class TestEngineObservability:
     def test_metrics_off_is_byte_identical(self, tmp_path):
-        from repro.obs import MetricsRegistry, stats_digest
+        from repro.obs import MetricsRegistry, stats_digest, validate_metrics_json
 
         plain = serial_engine(tmp_path / "plain").run_point(POINT)
         registry = MetricsRegistry()
@@ -781,9 +781,12 @@ class TestEngineObservability:
         assert stats_digest(metered.to_payload()) == stats_digest(
             plain.to_payload()
         )
-        # The instrumented run actually recorded something.
-        assert "repro_engine_points_total" in registry.to_prometheus()
-        assert registry.to_prometheus() == registry.to_prometheus()
+        # The metered run published its profile at the end of the batch.
+        doc = registry.to_json()
+        assert validate_metrics_json(doc) == []
+        assert doc["metrics"]["points"] == {"memory": 0, "disk": 0, "sim": 1, "retry": 0}
+        assert doc["metrics"]["phase_counts"] == {"cache-load": 1, "simulate": 1}
+        assert doc == registry.to_json()
 
     def test_heartbeat_written_during_pooled_run(self, tmp_path):
         from repro.obs import read_status
@@ -856,6 +859,7 @@ class TestChaosIntegration:
         again = e2.run_point(POINT)
         assert e2.profile.sims == 1
         assert e2.profile.quarantines == 1
+        assert e2.profile.degradations == {"cache_quarantine": 1}
         assert stats_digest(again.to_payload()) == stats_digest(
             fresh.to_payload()
         )
@@ -882,6 +886,8 @@ class TestChaosIntegration:
         assert len(out) == 2
         assert e._circuit_open
         assert e.profile.retries == 2
+        assert e.profile.phase_counts["retry"] == 2
+        assert e.profile.degradations == {"circuit_open": 1}
         assert manifest_warnings(manifest).count("circuit_open") == 1
         assert "chunk_crash" in manifest_warnings(manifest)
         assert out[POINT] == reference()
@@ -943,6 +949,7 @@ class TestJournalResume:
         e2.run_point(POINT)
         assert e2.profile.sims == 1
         assert e2.profile.resumed == 0
+        assert e2.profile.degradations == {"journal_mismatch": 1}
         assert manifest_warnings(manifest) == ["journal_mismatch"]
         # The re-simulated point re-journaled its true digest (last wins).
         assert load_journal(journal)[key] != "forged"
@@ -967,6 +974,7 @@ class TestInterruptShutdown:
             e.run_many([POINT])
         doc = json.loads(status.read_text(encoding="utf-8"))
         assert doc["state"] == "interrupted"
+        assert e.profile.degradations == {"interrupted": 1}
         warnings = [
             r for r in read_manifest(manifest) if r["source"] == "warning"
         ]

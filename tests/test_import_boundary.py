@@ -132,10 +132,29 @@ def test_cli_names_that_run_nothing_import_nothing(tmp_path, args, status):
         "import repro.experiments.engine",
         "from repro.experiments.engine import configure; configure(workers=2)",
         "import repro.obs, repro.workloads, repro.trace, repro.metrics, repro.chaos",
+        # A builder point's key (Fig. 3, the CU validation) names its builder
+        # without building anything.
+        "from repro.experiments.engine import SimPoint, point_key; "
+        "point_key(SimPoint('fma_microbenchmark', kernel={'layout': 'balanced'}))",
     ],
 )
 def test_imports_stay_off_the_miss_path(tmp_path, code):
     _, modules, _ = run_fresh(tmp_path, "-c", code)
+    assert loaded(modules, MISS_PATH_ONLY) == []
+    assert "numpy" not in modules
+
+
+def test_figure_modules_import_no_numpy(tmp_path):
+    # effect4 runs two kernels at once on a GPU it builds itself: no points,
+    # no cache, so it always simulates.
+    names = sorted(
+        f"repro.experiments.{path.stem}"
+        for path in (SRC / "repro" / "experiments").glob("*.py")
+        if path.stem not in ("__init__", "effect4_concurrent")
+    )
+    code = f"import importlib\nfor name in {names!r}:\n    importlib.import_module(name)"
+    _, modules, _ = run_fresh(tmp_path, "-c", code)
+    assert set(names) <= set(modules)
     assert loaded(modules, MISS_PATH_ONLY) == []
     assert "numpy" not in modules
 

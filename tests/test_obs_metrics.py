@@ -1,10 +1,9 @@
 """Run-level metrics, heartbeat and manifest-schema tests (repro.obs).
 
-Covers the metrics registry's instruments and both export round-trips
-(Prometheus text and canonical JSON), the validators' rejection of
-malformed documents, the heartbeat's throttled atomic writes and
-staleness detection under a fake clock, and the versioned run-manifest
-records (current / legacy / unknown-version classification).
+Covers the metrics document (a snapshot of the engine profile) and its
+validator, the heartbeat's throttled atomic writes and staleness
+detection under a fake clock, and the versioned run-manifest records
+(current / legacy / unknown-version classification).
 """
 
 from __future__ import annotations
@@ -13,125 +12,70 @@ import json
 
 import pytest
 
+from repro.experiments.engine import EngineProfile
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
+    METRICS_SCHEMA_VERSION,
     Heartbeat,
     MetricsRegistry,
     RunManifest,
-    parse_prometheus_text,
     read_status,
-    record_stats_metrics,
     validate_manifest,
     validate_manifest_record,
     validate_metrics_json,
-    validate_prometheus_text,
     validate_status,
 )
 from repro.obs.heartbeat import STATUS_SCHEMA_VERSION
+from repro.obs.metrics import QUANTITIES
 
 
 def make_registry() -> MetricsRegistry:
-    r = MetricsRegistry()
-    c = r.counter("repro_points_total", "Points by source.", ("source",))
-    c.labels(source="sim").inc(3)
-    c.labels(source="memory").inc()
-    r.gauge("repro_workers", "Active workers.").set(4)
-    h = r.histogram(
-        "repro_phase_seconds", "Phase wall time.", ("phase",),
-        buckets=(0.1, 1.0, 10.0),
+    """A document published from a profile with every quantity set."""
+    prof = EngineProfile(
+        mem_hits=2, disk_hits=1, misses=3, retries=1, code_compiles=2, code_loads=1
     )
-    h.labels(phase="simulate").observe(0.5)
-    h.labels(phase="simulate").observe(20.0)
-    h.labels(phase="plan").observe(0.01)
+    prof.note_sim("a × baseline", 1.5, worker=7)
+    prof.note_sim("b × baseline", 0.5, worker=8)
+    prof.note_sim("b × rba", 0.25, worker=8)  # the retried point
+    for phase, secs in (("cache-load", 0.01), ("simulate", 1.5), ("simulate", 0.5), ("retry", 0.25)):
+        prof.note_phase(phase, secs)
+    prof.degradations["circuit_open"] = 1
+    r = MetricsRegistry()
+    r.publish(prof, points=6, seconds=3.0)
     return r
 
 
-class TestRegistry:
-    def test_counter_accumulates_per_label_set(self):
-        r = make_registry()
-        c = r.counter("repro_points_total", "Points by source.", ("source",))
-        assert c.labels(source="sim").value == 3
-        assert c.labels(source="memory").value == 1
-
-    def test_counter_rejects_negative(self):
-        r = MetricsRegistry()
-        with pytest.raises(ValueError):
-            r.counter("c_total", "help").inc(-1)
-
-    def test_reregistration_returns_same_family(self):
-        r = MetricsRegistry()
-        a = r.counter("x_total", "help", ("l",))
-        b = r.counter("x_total", "help", ("l",))
-        assert a is b
-
-    def test_conflicting_reregistration_rejected(self):
-        r = MetricsRegistry()
-        r.counter("x_total", "help", ("l",))
-        with pytest.raises(ValueError):
-            r.gauge("x_total", "help", ("l",))
-        with pytest.raises(ValueError):
-            r.counter("x_total", "help", ("other",))
-
-    def test_invalid_names_rejected(self):
-        r = MetricsRegistry()
-        with pytest.raises(ValueError):
-            r.counter("0bad", "help")
-        with pytest.raises(ValueError):
-            r.counter("ok_total", "help", ("le",))
-
-    def test_wrong_labels_rejected(self):
-        r = MetricsRegistry()
-        c = r.counter("x_total", "help", ("a", "b"))
-        with pytest.raises(ValueError):
-            c.labels(a="1")
-
-    def test_histogram_buckets_cumulative_in_export(self):
-        r = make_registry()
-        text = r.to_prometheus()
-        # 0.5 and 20.0 observed for phase=simulate: le=1 covers one
-        # observation, +Inf both; sum carries exact totals.
-        assert 'repro_phase_seconds_bucket{phase="simulate",le="1"} 1' in text
-        assert 'repro_phase_seconds_bucket{phase="simulate",le="+Inf"} 2' in text
-        assert 'repro_phase_seconds_sum{phase="simulate"} 20.5' in text
-
-    def test_histogram_requires_increasing_bounds(self):
-        r = MetricsRegistry()
-        with pytest.raises(ValueError):
-            r.histogram("h_seconds", "help", buckets=(1.0, 1.0))
-
-
 class TestExports:
-    def test_prometheus_round_trip_is_clean(self):
-        text = make_registry().to_prometheus()
-        assert validate_prometheus_text(text) == []
-        families, problems = parse_prometheus_text(text)
-        assert problems == []
-        assert families["repro_workers"]["samples"]["repro_workers"] == 4.0
-
-    def test_prometheus_validator_catches_decreasing_buckets(self):
-        text = (
-            "# HELP h_seconds x\n"
-            "# TYPE h_seconds histogram\n"
-            'h_seconds_bucket{le="1"} 5\n'
-            'h_seconds_bucket{le="2"} 3\n'
-            'h_seconds_bucket{le="+Inf"} 3\n'
-            "h_seconds_sum 1\n"
-            "h_seconds_count 3\n"
-        )
-        problems = validate_prometheus_text(text)
-        assert any("decrease" in p for p in problems)
-
-    def test_prometheus_validator_catches_missing_type(self):
-        problems = validate_prometheus_text("loose_metric 1\n")
-        assert any("TYPE" in p for p in problems)
-
-    def test_json_round_trip_reconstructs_equal_registry(self):
-        r = make_registry()
-        doc = r.to_json()
+    def test_publish_snapshots_the_profile(self):
+        doc = make_registry().to_json()
         assert validate_metrics_json(doc) == []
-        clone = MetricsRegistry.from_json(doc)
-        assert clone.to_json() == doc
-        assert clone.to_prometheus() == r.to_prometheus()
+        assert doc["schema"] == METRICS_SCHEMA_VERSION == 2
+        got = doc["metrics"]
+        assert set(got) == set(QUANTITIES)
+        assert got["points"] == {"memory": 2, "disk": 1, "sim": 2, "retry": 1}
+        assert got["code"] == {"compile": 2, "disk": 1}
+        assert got["degradations"] == {"circuit_open": 1}
+        assert got["phase_counts"] == {"cache-load": 1, "retry": 1, "simulate": 2}
+        assert got["phase_seconds"]["simulate"] == 2.0
+        assert got["cache_hit_ratio"] == 0.5
+        assert got["worker_skew"] == pytest.approx(1.5 / 1.125)
+        assert got["points_per_sec"] == 2.0
+        assert got["worker_seconds"] == {"7": 1.5, "8": 0.75}
+
+    def test_publish_is_a_snapshot(self):
+        prof = EngineProfile(mem_hits=1)
+        r = MetricsRegistry()
+        r.publish(prof, points=1, seconds=0.0)
+        prof.mem_hits += 1
+        prof.degradations["interrupted"] = 1
+        assert r.to_json()["metrics"]["points"]["memory"] == 1
+        assert r.to_json()["metrics"]["degradations"] == {}
+        assert r.to_json()["metrics"]["points_per_sec"] == 0.0
+
+    def test_unpublished_registry_is_an_empty_valid_document(self):
+        doc = MetricsRegistry().to_json()
+        assert doc == {"schema": METRICS_SCHEMA_VERSION, "metrics": {}}
+        assert validate_metrics_json(doc) == []
 
     def test_json_survives_serialization(self):
         doc = make_registry().to_json()
@@ -139,47 +83,24 @@ class TestExports:
 
     def test_json_validator_rejects_unknown_schema(self):
         doc = make_registry().to_json()
-        doc["schema"] = 99
+        doc["schema"] = 1
         assert any("schema" in p for p in validate_metrics_json(doc))
 
-    def test_json_validator_rejects_label_mismatch(self):
-        doc = make_registry().to_json()
-        for entry in doc["metrics"]:
-            if entry["name"] == "repro_points_total":
-                entry["samples"][0]["labels"] = {"wrong": "x"}
-        assert any("labels" in p for p in validate_metrics_json(doc))
+    def test_json_validator_rejects_malformed_quantities(self):
+        for name, value, problem in [
+            ("repro_engine_points_total", 3, "unknown quantity"),
+            ("worker_skew", "1.0", "must be a number"),
+            ("cache_hit_ratio", True, "must be a number"),
+            ("points", {"sim": "3"}, "must map names to numbers"),
+            ("worker_seconds", [1.0], "must map names to numbers"),
+        ]:
+            doc = make_registry().to_json()
+            doc["metrics"][name] = value
+            assert any(problem in p for p in validate_metrics_json(doc)), name
+        assert validate_metrics_json([]) == ["metrics document must be a JSON object"]
 
     def test_export_is_deterministic(self):
-        assert make_registry().to_prometheus() == make_registry().to_prometheus()
         assert make_registry().to_json() == make_registry().to_json()
-
-
-class _FakeSM:
-    def __init__(self, stall_cycles):
-        self.stall_cycles = stall_cycles
-
-
-class _FakeStats:
-    cycles = 100
-    instructions = 250
-    sms = [
-        _FakeSM([{"issued": 30, "idle": 70}, {"issued": 10, "idle": 90}]),
-        _FakeSM(None),
-    ]
-
-
-class TestStatsMetrics:
-    def test_record_stats_metrics_aggregates_buckets(self):
-        r = MetricsRegistry()
-        record_stats_metrics(r, _FakeStats())
-        doc = r.to_json()
-        by_name = {entry["name"]: entry for entry in doc["metrics"]}
-        assert by_name["repro_sim_cycles_total"]["samples"][0]["value"] == 100
-        stalls = {
-            sample["labels"]["bucket"]: sample["value"]
-            for sample in by_name["repro_stall_slots_total"]["samples"]
-        }
-        assert stalls == {"issued": 40, "idle": 160}
 
 
 class _Clock:
