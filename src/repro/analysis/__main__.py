@@ -2,31 +2,21 @@
 
 Usage::
 
-    python -m repro.analysis --lint [PATH ...]       # determinism linter
-    python -m repro.analysis --check-all [PKG_DIR]   # linter + whole-program passes
-    python -m repro.analysis --update-contracts [PKG_DIR]  # refresh contracts.json
+    python -m repro.analysis --check-all [PKG_DIR]   # the static gate
     python -m repro.analysis --sanitize-smoke        # runtime invariant grid
     python -m repro.analysis --list-rules            # rule reference
 
-Lint / check-all options:
+``--check-all`` takes at most one PATH: the package directory to analyse
+(default: the installed ``repro`` package).  It runs the RPR101–104
+hot-path pass (cycle-loop discipline and annotation hygiene) over one
+project model.  Every finding fails the gate; the only exceptions are
+reasoned ``# simcheck: hot-ok`` annotations.  See docs/static_analysis.md.
+
+Check-all options:
 
     --github        emit GitHub Actions ::error annotations in addition to
                     the human-readable lines (auto-enabled when the
                     GITHUB_ACTIONS environment variable is set)
-    --strict        ``--lint``: ignore ``# simlint: ignore`` suppressions.
-                    ``--check-all``: additionally ignore ``--baseline``
-                    (structured ``# simcheck:`` annotations still count —
-                    they carry a reviewable justification, unlike a bare
-                    ignore).
-    --sarif FILE    also write the findings as a SARIF 2.1.0 log
-    --baseline FILE suppress findings recorded in a baseline file
-    --write-baseline FILE  record current findings as the new baseline
-
-``--check-all`` takes at most one PATH: the package directory to analyse
-(default: the installed ``repro`` package).  It runs the RPR0xx
-determinism linter plus the whole-program passes — RPR1xx hot-path
-discipline, RPR2xx reset-completeness, RPR3xx contract drift — over one
-shared project model.  See docs/static_analysis.md.
 
 Smoke options:
 
@@ -36,146 +26,44 @@ Smoke options:
                     rba)
     --num-sms N     SMs per simulated GPU (default 1)
 
-With no PATH, ``--lint`` checks the installed ``repro`` package sources.
 Exit status: 0 clean, 1 findings / violations, 2 usage error.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .linter import Finding, lint_paths, rule_listing
 
-BASELINE_SCHEMA = 1
+def _check_all(paths: List[str], github: bool) -> int:
+    from .passes import run_project_passes
 
-
-def _lint(paths: List[str], github: bool, strict: bool = False) -> int:
-    if not paths:
-        paths = [_default_package_dir()]
-    report = lint_paths(paths, strict=strict)
-    for finding in report.unsuppressed:
-        print(finding.format())
-        if github:
-            print(finding.format_github())
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-def _default_package_dir() -> str:
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
-
-
-def _resolve_root(paths: List[str]) -> Optional[Path]:
     if len(paths) > 1:
-        print("--check-all/--update-contracts take at most one package dir", file=sys.stderr)
-        return None
-    root = Path(paths[0]) if paths else Path(_default_package_dir())
+        print("--check-all takes at most one package dir", file=sys.stderr)
+        return 2
+    if paths:
+        root = Path(paths[0])
+    else:
+        import repro
+
+        root = Path(repro.__file__).resolve().parent
     if not root.is_dir():
         print(f"not a directory: {root}", file=sys.stderr)
-        return None
-    return root
-
-
-def baseline_key(finding: Finding) -> str:
-    """Stable identity of a finding for the baseline workflow.
-
-    Deliberately excludes the line number (annotations drift as files are
-    edited) but keeps the message, which names the offending symbol.
-    """
-    return f"{finding.rule_id}:{finding.path}:{finding.message}"
-
-
-def _load_baseline(path: str) -> Optional[set]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {path}: {exc}", file=sys.stderr)
-        return None
-    entries = payload.get("entries")
-    if payload.get("schema") != BASELINE_SCHEMA or not isinstance(entries, list):
-        print(f"unrecognized baseline format in {path}", file=sys.stderr)
-        return None
-    return set(entries)
-
-
-def _write_baseline(path: str, findings: List[Finding]) -> None:
-    payload = {
-        "schema": BASELINE_SCHEMA,
-        "entries": sorted(dict.fromkeys(baseline_key(f) for f in findings)),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _check_all(
-    paths: List[str],
-    github: bool,
-    strict: bool,
-    sarif_path: Optional[str],
-    baseline_path: Optional[str],
-    write_baseline_path: Optional[str],
-) -> int:
-    from .passes import run_project_passes
-    from .sarif import write_sarif
-
-    root = _resolve_root(paths)
-    if root is None:
         return 2
-    lint_report = lint_paths([str(root)], strict=strict)
-    _, pass_findings = run_project_passes(root)
-    findings = sorted(
-        lint_report.findings + pass_findings,
-        key=lambda f: (f.path, f.line, f.col, f.rule_id),
-    )
-
-    failing = [f for f in findings if not f.suppressed]
-    if baseline_path is not None and not strict:
-        baseline = _load_baseline(baseline_path)
-        if baseline is None:
-            return 2
-        baselined = [f for f in failing if baseline_key(f) in baseline]
-        failing = [f for f in failing if baseline_key(f) not in baseline]
-    else:
-        baselined = []
-
-    for finding in failing:
+    try:
+        findings = run_project_passes(root)
+    except SyntaxError as exc:
+        print(f"{exc.filename}:{exc.lineno}: syntax error: {exc.msg}")
+        return 1
+    for finding in findings:
         print(finding.format())
         if github:
             print(finding.format_github())
-    if sarif_path is not None:
-        write_sarif(sarif_path, findings)
-    if write_baseline_path is not None:
-        _write_baseline(write_baseline_path, failing)
-        print(f"simcheck: baseline with {len(failing)} entr(ies) written to {write_baseline_path}")
-        return 0
-
-    suppressed = len(findings) - len(failing) - len(baselined)
-    mode = "simcheck (strict)" if strict else "simcheck"
-    print(
-        f"{mode}: {len(failing)} finding(s), {suppressed} suppressed, "
-        f"{len(baselined)} baselined, {len(project_files(root))} file(s) analysed"
-    )
-    return 0 if not failing else 1
-
-
-def project_files(root: Path) -> List[Path]:
-    return sorted(root.rglob("*.py"))
-
-
-def _update_contracts(paths: List[str]) -> int:
-    from .passes.drift import write_manifest
-
-    root = _resolve_root(paths)
-    if root is None:
-        return 2
-    manifest = write_manifest(root)
-    print(f"simcheck: contracts manifest refreshed at {manifest}")
-    return 0
+    files = sum(1 for _ in root.rglob("*.py"))
+    print(f"simcheck: {len(findings)} finding(s), {files} file(s) analysed")
+    return 0 if not findings else 1
 
 
 def _sanitize_smoke(apps: Optional[str], designs: Optional[str], num_sms: int) -> int:
@@ -198,41 +86,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "-h" in args or "--help" in args:
         print(__doc__)
         return 0
-    if not args:
-        # Bare ``python -m repro.analysis``: lint the installed package.
-        return _lint([], bool(os.environ.get("GITHUB_ACTIONS")))
 
     mode: Optional[str] = None
     paths: List[str] = []
     github = bool(os.environ.get("GITHUB_ACTIONS"))
-    strict = False
     apps: Optional[str] = None
     designs: Optional[str] = None
     num_sms = 1
-    sarif_path: Optional[str] = None
-    baseline_path: Optional[str] = None
-    write_baseline_path: Optional[str] = None
 
     i = 0
     while i < len(args):
         arg = args[i]
-        if arg == "--lint":
-            mode = "lint"
-        elif arg == "--check-all":
+        if arg == "--check-all":
             mode = "check-all"
-        elif arg == "--update-contracts":
-            mode = "update-contracts"
         elif arg == "--sanitize-smoke":
             mode = "smoke"
         elif arg == "--list-rules":
             mode = "rules"
         elif arg == "--github":
             github = True
-        elif arg == "--strict":
-            strict = True
-        elif arg.startswith(
-            ("--apps", "--designs", "--num-sms", "--sarif", "--baseline", "--write-baseline")
-        ):
+        elif arg.startswith(("--apps", "--designs", "--num-sms")):
             flag, sep, value = arg.partition("=")
             if not sep:
                 i += 1
@@ -244,12 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 apps = value
             elif flag == "--designs":
                 designs = value
-            elif flag == "--sarif":
-                sarif_path = value
-            elif flag == "--write-baseline":
-                write_baseline_path = value
-            elif flag == "--baseline":
-                baseline_path = value
             elif flag == "--num-sms":
                 try:
                     num_sms = int(value)
@@ -267,23 +134,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         i += 1
 
     if mode == "rules":
-        from . import passes as _passes  # noqa: F401  (registers RPR1xx-3xx)
+        from .passes import rule_listing
 
         print(rule_listing())
         return 0
     if mode == "smoke":
         return _sanitize_smoke(apps, designs, num_sms)
-    if mode == "lint":
-        return _lint(paths, github, strict=strict)
     if mode == "check-all":
-        return _check_all(paths, github, strict, sarif_path, baseline_path, write_baseline_path)
-    if mode == "update-contracts":
-        return _update_contracts(paths)
-    print(
-        "choose a mode: --lint, --check-all, --update-contracts, "
-        "--sanitize-smoke or --list-rules",
-        file=sys.stderr,
-    )
+        return _check_all(paths, github)
+    print("choose a mode: --check-all, --sanitize-smoke or --list-rules", file=sys.stderr)
     return 2
 
 

@@ -1,115 +1,34 @@
-"""simcheck v2 analysis passes: reset-completeness, hot-path, drift.
+"""simcheck's analysis pass: hot-path discipline (RPR101–104).
 
-Importing this package registers the RPR1xx/2xx/3xx rules into the
-shared catalog (:func:`repro.analysis.rules.register_rules`);
-:func:`run_project_passes` is the ``--check-all`` entry point.
+:func:`run_project_passes` is the ``--check-all`` entry point; the rule
+catalog is :data:`~repro.analysis.passes.base.RULES`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Tuple
+from typing import List
 
 from ..callgraph import CallGraph
-from ..linter import Finding
-from ..project import ProjectModel, build_project
-from ..rules import Rule, register_rules
-from .base import AnalysisContext, AnalysisPass
-from .drift import DriftPass
+from ..project import build_project
+from .base import RULES, AnalysisContext, Finding, Rule, rule_listing
 from .hotpath import HotPathPass
-from .reset import ResetCompletenessPass
-
-PASS_RULES: List[Rule] = [
-    Rule(
-        "RPR101",
-        "allocation in a cycle-hot function",
-        "hoist the allocation out of the per-cycle path or reuse a "
-        "preallocated buffer; if the work is inherent to the model, "
-        "justify with `# simcheck: hot-ok -- reason`",
-    ),
-    Rule(
-        "RPR102",
-        "try/except inside a loop in a cycle-hot function",
-        "hoist the try outside the loop, or restructure with a lookup "
-        "that cannot raise",
-    ),
-    Rule(
-        "RPR103",
-        "deep attribute chain re-read in a cycle-hot function",
-        "hoist the chain's prefix into a local once and index through it",
-    ),
-    Rule(
-        "RPR104",
-        "stale or unknown simcheck annotation",
-        "remove the annotation (it no longer suppresses a finding) or fix "
-        "the tag spelling",
-    ),
-    Rule(
-        "RPR201",
-        "mutable attribute mutated outside reset paths but never re-initialized",
-        "re-initialize or .clear() it in begin_run()/reset(), or declare "
-        "`# simcheck: persistent -- reason` on the __init__ assignment",
-    ),
-    Rule(
-        "RPR202",
-        "reassigned attribute never re-initialized in a reset path",
-        "assign its initial value in begin_run()/reset() (`+=` is not a "
-        "re-initialization), or declare `# simcheck: persistent -- reason`",
-    ),
-    Rule(
-        "RPR203",
-        "owned component with a reset hook is never cascaded",
-        "call self.<attr>.begin_run()/reset() from the owner's reset path "
-        "(or rebuild the component there)",
-    ),
-    Rule(
-        "RPR301",
-        "versioned model contract changed without acknowledgment",
-        "bump the contract's version constant if on-disk artifacts change "
-        "meaning, then refresh analysis/contracts.json with "
-        "`python -m repro.analysis --update-contracts`",
-    ),
-    Rule(
-        "RPR302",
-        "config field is never read by the model",
-        "wire the field into the model (or validate it) so sweeps over it "
-        "mean something, or delete it",
-    ),
-    Rule(
-        "RPR303",
-        "stats declaration out of lockstep with the field list",
-        "keep the SMStats construction, conservation tuples and "
-        "to_payload() covering every dataclass field",
-    ),
-]
-
-register_rules(PASS_RULES)
-
-ALL_PASSES: Tuple[AnalysisPass, ...] = (
-    ResetCompletenessPass(),
-    HotPathPass(),
-    DriftPass(),
-)
 
 
-def run_project_passes(root: Path) -> Tuple[ProjectModel, List[Finding]]:
-    """Build the project model once and run every pass over it."""
+def run_project_passes(root: Path) -> List[Finding]:
+    """Build the project model and call graph, then run the hot-path pass."""
     project = build_project(root)
-    graph = CallGraph(project)
-    ctx = AnalysisContext(project=project, graph=graph)
-    for analysis_pass in ALL_PASSES:
-        analysis_pass.run(ctx)
-    ctx.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return project, ctx.findings
+    ctx = AnalysisContext(project=project, graph=CallGraph(project))
+    HotPathPass().run(ctx)
+    return sorted(ctx.findings, key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
 
 __all__ = [
-    "ALL_PASSES",
     "AnalysisContext",
-    "AnalysisPass",
-    "DriftPass",
+    "Finding",
     "HotPathPass",
-    "PASS_RULES",
-    "ResetCompletenessPass",
+    "RULES",
+    "Rule",
+    "rule_listing",
     "run_project_passes",
 ]

@@ -1,13 +1,86 @@
-"""Shared plumbing for simcheck v2 analysis passes."""
+"""Shared plumbing for simcheck's analysis pass: rules, findings, context."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..callgraph import CallGraph
-from ..linter import Finding
 from ..project import ProjectModel
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One rule: stable ID, summary and a fix-it hint."""
+
+    rule_id: str
+    summary: str
+    hint: str
+
+
+RULES: Dict[str, Rule] = {
+    r.rule_id: r
+    for r in (
+        Rule(
+            "RPR101",
+            "allocation in a cycle-hot function",
+            "hoist the allocation out of the per-cycle path or reuse a "
+            "preallocated buffer; if the work is inherent to the model, "
+            "justify with `# simcheck: hot-ok -- reason`",
+        ),
+        Rule(
+            "RPR102",
+            "try/except inside a loop in a cycle-hot function",
+            "hoist the try outside the loop, or restructure with a lookup "
+            "that cannot raise",
+        ),
+        Rule(
+            "RPR103",
+            "deep attribute chain re-read in a cycle-hot function",
+            "hoist the chain's prefix into a local once and index through it",
+        ),
+        Rule(
+            "RPR104",
+            "stale or unknown simcheck annotation",
+            "remove the annotation (it no longer suppresses a finding) or fix "
+            "the tag spelling",
+        ),
+    )
+}
+
+
+def rule_listing() -> str:
+    """Human-readable table of every rule (``--list-rules``)."""
+    lines = []
+    for rule_id, rule in sorted(RULES.items()):
+        lines.append(f"{rule_id}  {rule.summary}")
+        lines.append(f"        fix: {rule.hint}")
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One located finding."""
+
+    rule_id: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    def format(self) -> str:
+        return (
+            f"{self.path}:{self.line}:{self.col + 1}: {self.rule_id} "
+            f"{self.message} (fix: {RULES[self.rule_id].hint})"
+        )
+
+    def format_github(self) -> str:
+        """GitHub Actions workflow-command annotation for this finding."""
+        message = f"{self.message} (fix: {RULES[self.rule_id].hint})".replace("\n", " ")
+        return (
+            f"::error file={self.path},line={self.line},col={self.col + 1},"
+            f"title=simcheck {self.rule_id}::{message}"
+        )
 
 
 @dataclass
@@ -24,43 +97,14 @@ class AnalysisContext:
     graph: CallGraph
     findings: List[Finding] = field(default_factory=list)
     used_annotations: Set[Tuple[str, int]] = field(default_factory=set)
-    _seen: Set[Tuple[str, str, int, str]] = field(default_factory=set)
 
-    def add(
-        self,
-        rule_id: str,
-        path: str,
-        line: int,
-        message: str,
-        col: int = 0,
-        suppressed: bool = False,
-    ) -> None:
-        key = (rule_id, path, line, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(
-            Finding(
-                rule_id=rule_id,
-                path=path,
-                line=line,
-                col=col,
-                message=message,
-                suppressed=suppressed,
-            )
-        )
+    def add(self, rule_id: str, path: str, line: int, message: str) -> None:
+        finding = Finding(rule_id, path, line, 0, message)
+        if finding not in self.findings:
+            self.findings.append(finding)
 
     def use(self, module: str, line: int) -> None:
         self.used_annotations.add((module, line))
 
     def used(self, module: str, line: int) -> bool:
         return (module, line) in self.used_annotations
-
-
-class AnalysisPass:
-    """Base class: a named whole-program check."""
-
-    name: str = "pass"
-
-    def run(self, ctx: AnalysisContext) -> None:  # pragma: no cover - interface
-        raise NotImplementedError

@@ -4,7 +4,9 @@ PRs 6–7 bought their 1.27–1.61x by removing per-cycle allocation and
 attribute chasing from ``GPU._advance`` → ``SM.step`` → ``SubCore.issue``.
 This pass keeps those wins: it computes the static call graph rooted at
 those three functions, restricted to the model packages, and flags inside
-every reachable ("cycle-hot") function:
+every reachable ("cycle-hot") function what no output oracle can see (a
+per-cycle allocation changes no digest, and one costs less than
+perfbench's noise):
 
 * **RPR101** — allocation: list/dict/set displays, comprehensions and
   generator expressions, mutable-factory calls (``list()``, ``dict()``,
@@ -21,7 +23,7 @@ statements are excluded: they are off on measured runs.  Inherent
 per-cycle work (a scheduler policy that must materialize a sorted pool)
 is accepted with ``# simcheck: hot-ok -- reason`` on the offending line,
 or on the ``def`` line to accept a whole function.  **RPR104** then keeps
-the annotations honest: a ``hot-ok``/``persistent`` tag that no longer
+the annotations honest: a ``hot-ok`` tag that no longer
 suppresses a live finding — or an unknown tag — is itself a finding.
 """
 
@@ -35,11 +37,10 @@ from ..project import (
     KNOWN_TAGS,
     MUTABLE_FACTORIES,
     TAG_HOT_OK,
-    TAG_PERSISTENT,
     FunctionInfo,
     ProjectModel,
 )
-from .base import AnalysisContext, AnalysisPass
+from .base import AnalysisContext
 
 #: (class, method) roots of the per-cycle path.
 HOT_ROOTS = (
@@ -132,10 +133,7 @@ class _HotScanner:
 
     # -- expressions -------------------------------------------------------
 
-    def _expr(self, expr: ast.expr) -> None:
-        self._visit_expr(expr)
-
-    def _visit_expr(self, node: ast.expr) -> None:
+    def _expr(self, node: ast.expr) -> None:
         if isinstance(node, ast.Attribute):
             chain = self._chain_text(node)
             if chain is not None:
@@ -143,7 +141,7 @@ class _HotScanner:
                 # spine (that would double-count every prefix).
                 self.chains.setdefault(chain, []).append(node.lineno)
             else:
-                self._visit_expr(node.value)
+                self._expr(node.value)
             return
         if isinstance(node, ast.Set):
             # Unlike List, Set has no ``ctx`` — a set display is always a load.
@@ -181,11 +179,11 @@ class _HotScanner:
                     self.allocations.append((node.lineno, f"constructs {name} per call"))
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                self._visit_expr(child)
+                self._expr(child)
             elif isinstance(child, ast.keyword):
                 # keyword arguments are not ``ast.expr`` nodes themselves;
                 # without this, ``x.sort(key=lambda ...)`` hides the lambda.
-                self._visit_expr(child.value)
+                self._expr(child.value)
 
     def _chain_text(self, node: ast.Attribute) -> Optional[str]:
         """Dotted text of a ≥2-hop read chain rooted at a bare name."""
@@ -202,8 +200,8 @@ class _HotScanner:
         return ".".join(reversed(parts))
 
 
-class HotPathPass(AnalysisPass):
-    name = "hot-path"
+class HotPathPass:
+    """The RPR101–104 checks over one ``--check-all`` run's context."""
 
     def run(self, ctx: AnalysisContext) -> None:
         for fn in hot_functions(ctx):
@@ -273,7 +271,7 @@ class HotPathPass(AnalysisPass):
                         f"unknown simcheck tag '{ann.tag}' "
                         f"(known: {', '.join(sorted(KNOWN_TAGS))})",
                     )
-                elif ann.tag in (TAG_HOT_OK, TAG_PERSISTENT) and not ctx.used(module, line):
+                elif ann.tag == TAG_HOT_OK and not ctx.used(module, line):
                     ctx.add(
                         "RPR104",
                         info.path,

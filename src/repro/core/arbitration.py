@@ -53,13 +53,13 @@ class ArbitrationUnit:
         # when score_latency > 0.
         self._history: Deque[Tuple[int, List[int]]] = deque([(-1, [0] * num_banks)])
         # statistics
-        self.total_grants = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.conflict_cycles = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.pending = 0  # simcheck: persistent -- tracks queued requests; drains with the kernel
+        self.total_grants = 0  # cumulative statistic; snapshot/delta reported
+        self.conflict_cycles = 0  # cumulative statistic; snapshot/delta reported
+        self.pending = 0  # tracks queued requests; drains with the kernel
         # event tracing (repro.obs); attached by the owning SM when active
-        self.tracer: Optional["Tracer"] = None  # simcheck: persistent -- wiring installed once per process, survives runs
-        self._sm_id = -1  # simcheck: persistent -- wiring installed once per process, survives runs
-        self._subcore_id = -1  # simcheck: persistent -- wiring installed once per process, survives runs
+        self.tracer: Optional["Tracer"] = None  # wiring installed once per process, survives runs
+        self._sm_id = -1  # wiring installed once per process, survives runs
+        self._subcore_id = -1  # wiring installed once per process, survives runs
 
     def attach_tracer(self, tracer: "Tracer", sm_id: int, subcore_id: int) -> None:
         """Attach the event tracer; conflict cycles emit bank-conflict events."""

@@ -49,12 +49,12 @@ class StreamingMultiprocessor:
             raise ValueError("assignment policy sized for a different sub-core count")
         self.subcores = [SubCore(i, config, self) for i in range(config.subcores_per_sm)]
 
-        self.resident_ctas: List[ThreadBlock] = []  # simcheck: persistent -- drains via _release_cta at retirement; a run only ends empty
-        self.shared_mem_used = 0  # simcheck: persistent -- tracks CTA residency; returns to 0 as CTAs retire
+        self.resident_ctas: List[ThreadBlock] = []  # drains via _release_cta at retirement; a run only ends empty
+        self.shared_mem_used = 0  # tracks CTA residency; returns to 0 as CTAs retire
 
         # Entries are (cycle, seq, warp, reg); ``reg is None`` marks a
         # migration-arrival event rather than a register writeback.
-        self._wb_heap: List[Tuple[int, int, Warp, Optional[int]]] = []  # simcheck: persistent -- empty whenever no kernel is in flight (see begin_run)
+        self._wb_heap: List[Tuple[int, int, Warp, Optional[int]]] = []  # empty whenever no kernel is in flight (see begin_run)
         self._seq = itertools.count()
         self._warp_id_counter = 0
 
@@ -79,19 +79,19 @@ class StreamingMultiprocessor:
         self.stall_attribution = config.stall_attribution
         #: Cached config flag: read once per stepped cycle.
         self._work_stealing = config.work_stealing
-        self._attr_cycles = 0  # simcheck: persistent -- cumulative attributed-cycle count; snapshot/delta reported
+        self._attr_cycles = 0  # cumulative attributed-cycle count; snapshot/delta reported
         self._last_stepped: Optional[int] = None
 
         # statistics
-        self.total_instructions = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.ctas_completed = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.migrations = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.resources_freed = False  # simcheck: persistent -- edge-triggered flag consumed by the GPU cycle loop
-        self.rf_read_timeline: Optional[List[Tuple[int, int]]] = (  # simcheck: persistent -- cumulative timeline; snapshot/delta reported
+        self.total_instructions = 0  # cumulative statistic; snapshot/delta reported
+        self.ctas_completed = 0  # cumulative statistic; snapshot/delta reported
+        self.migrations = 0  # cumulative statistic; snapshot/delta reported
+        self.resources_freed = False  # edge-triggered flag consumed by the GPU cycle loop
+        self.rf_read_timeline: Optional[List[Tuple[int, int]]] = (  # cumulative timeline; snapshot/delta reported
             [] if collect_timeline else None
         )
-        self.warp_finish_cycles: List[int] = []  # simcheck: persistent -- cumulative record; snapshot/delta reported
-        self.cta_latencies: List[int] = []  # simcheck: persistent -- cumulative record; snapshot/delta reported
+        self.warp_finish_cycles: List[int] = []  # cumulative record; snapshot/delta reported
+        self.cta_latencies: List[int] = []  # cumulative record; snapshot/delta reported
 
     def begin_run(self) -> None:
         """Reset per-launch transient state so back-to-back ``GPU.run``
@@ -199,7 +199,7 @@ class StreamingMultiprocessor:
 
     # -- simulation --------------------------------------------------------------
 
-    def begin_attribution_window(self, start: int) -> None:  # simcheck: reset-hook
+    def begin_attribution_window(self, start: int) -> None:
         """Reset the fast-forward gap reference at the start of a run.
 
         Without the reset, the idle span between two ``GPU.run()`` calls

@@ -85,29 +85,29 @@ class SubCore:
         #: Cached scheduler-class flag (read once per issue cycle).
         self._steals_banks = self.scheduler.steals_banks
         self.max_registers = config.registers_per_sm // config.subcores_per_sm
-        self.warps: List[Warp] = []  # simcheck: persistent -- drains via remove_warp at CTA retirement; a run only ends empty
+        self.warps: List[Warp] = []  # drains via remove_warp at CTA retirement; a run only ends empty
         #: Warps currently in the READY state (maintained by Warp.set_state).
         #: A dict-as-set: iteration order is insertion order, never hash
         #: order, so scheduler tie-breaks are bit-deterministic across
         #: processes (a plain set would order candidates by object hash).
-        self.ready: Dict[Warp, None] = {}  # simcheck: persistent -- mirrors warp residency; drains with self.warps
-        self.registers_used = 0  # simcheck: persistent -- tracks warp residency; returns to 0 as CTAs retire
+        self.ready: Dict[Warp, None] = {}  # mirrors warp residency; drains with self.warps
+        self.registers_used = 0  # tracks warp residency; returns to 0 as CTAs retire
         self._age_counter = 0
-        self._busy_cus = 0  # simcheck: persistent -- tracks in-flight CU occupancy; drains before a run ends
+        self._busy_cus = 0  # tracks in-flight CU occupancy; drains before a run ends
 
         # statistics
-        self.instructions_issued = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.issue_stall_no_cu = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.issue_stall_no_ready = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
-        self.steals = 0  # simcheck: persistent -- cumulative statistic; snapshot/delta reported
+        self.instructions_issued = 0  # cumulative statistic; snapshot/delta reported
+        self.issue_stall_no_cu = 0  # cumulative statistic; snapshot/delta reported
+        self.issue_stall_no_ready = 0  # cumulative statistic; snapshot/delta reported
+        self.steals = 0  # cumulative statistic; snapshot/delta reported
 
         # observability (repro.obs).  Both default to "off": the tracer is
         # attached by the SM when one is passed to the GPU, and the stall
         # buckets only exist under config.stall_attribution — when off,
         # every hook reduces to one None-check and collected stats are
         # byte-identical to pre-observability behaviour.
-        self.tracer: Optional["Tracer"] = None  # simcheck: persistent -- wiring installed once per process, survives runs
-        self.stall_cycles: Optional[Dict[str, int]] = (  # simcheck: persistent -- cumulative stall buckets; snapshot/delta reported
+        self.tracer: Optional["Tracer"] = None  # wiring installed once per process, survives runs
+        self.stall_cycles: Optional[Dict[str, int]] = (  # cumulative stall buckets; snapshot/delta reported
             empty_buckets() if config.stall_attribution else None
         )
 

@@ -169,7 +169,7 @@ class BankStealingScheduler(GTOScheduler):
             banks = w._row[w.pc]
             # Iterate the tuple directly: duplicate banks re-check the same
             # idle queue harmlessly, and no set order ever feeds the result
-            # (simlint RPR001).
+            # (tests/test_determinism.py runs it under differing hash seeds).
             if banks and all(arb.bank_idle(b) for b in banks):
                 return w
         return None

@@ -168,8 +168,9 @@ class EngineProfile:
     #: ``journal_mismatch``), by step.
     degradations: Dict[str, int] = field(default_factory=dict)
     #: Wall time and span count per engine phase: ``cache-load`` per batch,
-    #: ``plan`` per pool run, ``simulate`` per serial point or pool chunk,
-    #: ``retry`` per point retried in the parent.
+    #: ``plan`` per pool run, ``simulate`` per simulated point (its own
+    #: seconds, serial or in a worker), ``retry`` per point retried in the
+    #: parent.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     phase_counts: Dict[str, int] = field(default_factory=dict)
     point_seconds: List[Tuple[str, float]] = field(default_factory=list)
@@ -1078,10 +1079,12 @@ class ExperimentEngine:
                             "chunk_crash", i, chunk, "raised in a worker"
                         )
                     else:
-                        elapsed = now - submitted
-                        self.profile.note_phase("simulate", elapsed)
                         self._pool_failures = 0
                         for p, res in zip(chunk, results):
+                            # The point's own simulation seconds: chunks run
+                            # side by side, so time since submission would
+                            # count the overlap once per chunk.
+                            self.profile.note_phase("simulate", res[2])
                             done[p] = self._absorb(p, keymap[p], res, "sim")
                         if hb is not None:
                             hb.advance(done=len(chunk))

@@ -94,7 +94,7 @@ class GPU:
         name = "+".join(k.name for k in kernels)
         return self._run(scheduler, self.sms, name, max_cycles)
 
-    def _run(  # simcheck: reset-hook
+    def _run(
         self,
         scheduler: ThreadBlockScheduler,
         sms: List[StreamingMultiprocessor],

@@ -60,7 +60,7 @@ class ThreadBlockScheduler:
             raise RuntimeError("a kernel is already in flight")
         self.launch_many([kernel])
 
-    def launch_many(self, kernels: Sequence[KernelTrace]) -> None:  # simcheck: reset-hook
+    def launch_many(self, kernels: Sequence[KernelTrace]) -> None:
         """Launch several kernels for concurrent execution.
 
         A launch is the scheduler's reset point: every dispatch cursor —

@@ -65,14 +65,14 @@ class MemorySubsystem:
             mshrs=mem.l1_mshrs,
             name="L1",
         )
-        self.l2 = l2 if l2 is not None else build_l2(mem)  # simcheck: persistent -- chip-level shared instance; GPU._run resets it once per launch
-        self.dram = dram if dram is not None else build_dram(mem)  # simcheck: persistent -- chip-level shared instance; GPU._run resets it once per launch
+        self.l2 = l2 if l2 is not None else build_l2(mem)  # chip-level shared instance; GPU._run resets it once per launch
+        self.dram = dram if dram is not None else build_dram(mem)  # chip-level shared instance; GPU._run resets it once per launch
         self.shared = SharedMemory(mem.shared_mem_banks)
         #: L1←L2 ingest throughput: line transactions accepted per cycle.
         self._l1_port_free = 0
         # event tracing (repro.obs); attached by the owning SM when active
-        self.tracer: Optional["Tracer"] = None  # simcheck: persistent -- wiring installed once per process, survives runs
-        self._sm_id = -1  # simcheck: persistent -- wiring installed once per process, survives runs
+        self.tracer: Optional["Tracer"] = None  # wiring installed once per process, survives runs
+        self._sm_id = -1  # wiring installed once per process, survives runs
 
     def attach_tracer(self, tracer: "Tracer", sm_id: int) -> None:
         """Attach the event tracer; accesses emit ``mem`` span events."""

@@ -31,7 +31,9 @@ dicts is read as it is.  :func:`write_chrome_trace` makes two passes:
 
 1. the first collects the ``(pid, tid)`` tracks, converting only the
    first event of each track-determining field combination, and turns
-   them into the sorted metadata events;
+   them into the sorted metadata events (a tracer reads each record's
+   combination from its integer slots and decodes only those first
+   events, :meth:`~repro.obs.tracer.Tracer.first_events`);
 2. the second converts the events in batches of a few hundred and
    writes each batch's JSON as soon as it is made.
 
@@ -134,18 +136,31 @@ def _convert(event: Dict[str, Any]) -> Tuple[Dict[str, Any], str]:
     raise ValueError(f"unknown event kind {kind!r}")
 
 
-def _tracks(events: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """First pass: the metadata events naming every process and track used."""
-    # An event's track is a function of these fields alone (see _convert),
-    # so only the first event of each combination is converted.
+#: An event's track is a function of its kind and these fields alone (see
+#: _convert), so only the first event of each combination is converted.
+_TRACK_FIELDS = ("sm", "sc", "w", "cu")
+
+
+def _track_events(trace: TraceLike) -> Iterable[Dict[str, Any]]:
+    """The first event of each track-determining field combination."""
+    if isinstance(trace, Tracer):
+        return trace.first_events(_TRACK_FIELDS)
     seen: Dict[Tuple[Any, ...], None] = {}
-    tracks: Dict[Tuple[int, int], str] = {}
-    for event in events:
-        key = (event["e"], event["sm"], event.get("sc"), event.get("w"), event.get("cu"))
+    firsts: List[Dict[str, Any]] = []
+    for event in trace:
+        key = (event["e"], *[event.get(f) for f in _TRACK_FIELDS])
         if key not in seen:
             seen[key] = None
-            chrome, track = _convert(event)
-            tracks.setdefault((chrome["pid"], chrome["tid"]), track)
+            firsts.append(event)
+    return firsts
+
+
+def _tracks(trace: TraceLike) -> List[Dict[str, Any]]:
+    """First pass: the metadata events naming every process and track used."""
+    tracks: Dict[Tuple[int, int], str] = {}
+    for event in _track_events(trace):
+        chrome, track = _convert(event)
+        tracks.setdefault((chrome["pid"], chrome["tid"]), track)
     ordered = sorted(tracks.items())
     metadata: List[Dict[str, Any]] = []
     for pid in dict.fromkeys(pid for (pid, _), _ in ordered):
@@ -171,7 +186,7 @@ def _header() -> Dict[str, Any]:
 
 def chrome_trace(trace: TraceLike) -> Dict[str, Any]:
     """The Chrome-trace document (a JSON-safe dict) for a raw event list."""
-    metadata = _tracks(_events_of(trace))
+    metadata = _tracks(trace)
     return {**_header(), "traceEvents": metadata + [_convert(e)[0] for e in _events_of(trace)]}
 
 
@@ -193,7 +208,7 @@ def _chrome_pieces(trace: TraceLike) -> Iterator[str]:
     """
     yield _dumps(_header())[:-1] + ',"traceEvents":['
     sep = ""
-    for meta in _tracks(_events_of(trace)):
+    for meta in _tracks(trace):
         yield sep + _dumps(meta)
         sep = ","
     chunk: List[Dict[str, Any]] = []

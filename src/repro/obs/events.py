@@ -31,7 +31,7 @@ key         meaning
 Everything in an event is derived from simulator state — warp ids, SM
 ids, cycles — never from wall clocks or object identity, so a trace is
 byte-identical across processes and ``PYTHONHASHSEED`` values (the same
-contract :mod:`repro.analysis` enforces for stats).
+contract ``docs/determinism.md`` states for stats).
 
 The module also validates exported Chrome-trace documents
 (:func:`validate_chrome_trace`); CI's trace-smoke job runs it via
@@ -45,9 +45,9 @@ from typing import Any, Dict, List, Mapping, Tuple
 #: Version of the trace-event schema (kinds, per-kind required keys, key
 #: semantics).  External tooling that parses exported JSONL keys on it;
 #: bump whenever :data:`EVENT_KINDS` / :data:`EVENT_FIELDS` or the meaning
-#: of a key changes.  simcheck's RPR301 contract check
-#: (``analysis/contracts.json``) fails CI when this module changes
-#: without an acknowledged manifest refresh.
+#: of a key changes.  ``tests/test_golden.py::TestGoldenDesignDigests::
+#: test_bank_stealing_event_stream`` pins the exported JSONL and Chrome
+#: trace bytes, so a moved event fails there.
 EVENT_SCHEMA_VERSION = 1
 
 # -- event kinds -------------------------------------------------------------

@@ -12,9 +12,9 @@ its stats digests are byte-identical to a plain run's.
 The document is ``{"schema": METRICS_SCHEMA_VERSION, "metrics": {...}}``;
 each quantity of :data:`QUANTITIES` is a number or a map of names to
 numbers.  :func:`validate_metrics_json` gates it in ``python -m repro.obs
---validate`` and the dashboard.  Like the event schema, the document is
-drift-guarded: simcheck's RPR301 contract check fails CI when this module
-changes without an acknowledged ``analysis/contracts.json`` refresh.
+--validate`` and the dashboard.  ``tests/test_obs_metrics.py::TestExports::
+test_publish_snapshots_the_profile`` pins the schema number and the
+quantities, so a changed document fails there.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ A record costs 72 bytes instead of a ~260-byte dict, and the whole stream
 is one object for the collector.  Each hook writes its record with one
 inline ``extend`` — no helper call per event or per string.  Readers
 decode one record at a time (:meth:`Tracer.iter_events`) into the flat
-dicts of :mod:`repro.obs.events`; :attr:`Tracer.events` is a read-only
-decoded list for tests and list-of-dict callers.
+dicts of :mod:`repro.obs.events`, or decode only the first record of each
+field combination (:meth:`Tracer.first_events`); :attr:`Tracer.events` is
+a read-only decoded list for tests and list-of-dict callers.
 
 Simulation determinism makes the stream reproducible: the same
 ``(workload, config, num_sms)`` produces a byte-identical event stream
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import events as ev
 
@@ -108,11 +110,39 @@ class Tracer:
 
     # -- reading -----------------------------------------------------------
 
+    def _rows(self) -> Iterator[Tuple[int, ...]]:
+        it = iter(self._rec)
+        return zip(*[it] * RECORD_SLOTS)
+
     def iter_events(self) -> Iterator[Dict[str, Any]]:
         """Decode the stored records, one event dict at a time."""
+        return self._decode(self._rows())
+
+    def first_events(self, fields: Tuple[str, ...]) -> Iterator[Dict[str, Any]]:
+        """Decode only the first event of each ``(kind, *fields)`` combination.
+
+        The combination is read from the integer records (a kind without
+        one of ``fields`` leaves it out of its key), so every other record
+        stays undecoded.  ``fields`` must be integer fields.
+        """
+        keys = [
+            itemgetter(1, *[slot for slot, field, _, _ in layout if field in fields])
+            for _, layout in _LAYOUT
+        ]
+        seen: Dict[Tuple[int, ...], None] = {}
+
+        def firsts() -> Iterator[Tuple[int, ...]]:
+            for row in self._rows():
+                key = keys[row[1]](row)
+                if key not in seen:
+                    seen[key] = None
+                    yield row
+
+        return self._decode(firsts())
+
+    def _decode(self, rows: Iterable[Tuple[int, ...]]) -> Iterator[Dict[str, Any]]:
         names = list(self._ids)
-        it = iter(self._rec)
-        for row in zip(*[it] * RECORD_SLOTS):
+        for row in rows:
             kind, fields = _LAYOUT[row[1]]
             event: Dict[str, Any] = {"t": row[0], "e": kind}
             for slot, field, is_string, is_optional in fields:

@@ -51,10 +51,11 @@ from .compiled import CompiledWarp, _BankTable
 from .kernel_trace import CTATrace, KernelTrace
 from .warp_trace import WarpTrace
 
-#: Schema version of the compiled-trace artifact.  Bump whenever the
-#: content of a module the artifact is made of changes (the
-#: ``compiled-trace`` watch list of ``repro.analysis``); the key contains
-#: it, so old entries are simply never addressed again.
+#: Schema version of the compiled-trace artifact.  Bump whenever what an
+#: artifact holds changes (``tests/test_pinned_traces.py`` pins its content
+#: and ``tests/test_pinned_keys.py`` its keys, so a moved artifact fails
+#: there); the key contains it, so old entries are simply never addressed
+#: again.
 CODE_VERSION = 2
 
 #: Environment variable overriding the cache directory.

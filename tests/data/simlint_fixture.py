@@ -1,128 +1,69 @@
-"""Lint fixture: one bad and one good example per simlint rule.
+"""Check fixture: one firing and one silent case per simcheck rule.
 
-Never imported or executed — ``tests/test_simlint.py`` parses this file and
-asserts that every line tagged ``# expect: RPRxxx`` produces exactly that
-finding, that untagged lines produce none, and that ``# simlint: ignore``
-lines land in the suppressed bucket (tagged ``# expect-suppressed:``).
+Never imported or executed — ``tests/test_simlint.py`` copies this file
+into a package tree as ``repro/core/simlint_fixture.py``, runs the
+``--check-all`` passes over it, and asserts that every line tagged
+``# expect: RPRxxx`` produces exactly that finding and that no other line
+produces anything.  A line tagged ``# silent: RPRxxx`` is that rule's
+good case: the same construct, written the way the rule accepts.
 """
 
-import random
-import time
-from datetime import datetime
 
-import numpy as np
+class StreamingMultiprocessor:
+    """A cycle-hot root: everything ``step`` calls is scanned per cycle."""
 
+    def step(self, items):
+        self.bad_allocation()
+        self.good_allocation()
+        self.bad_try(items)
+        self.good_try(items)
+        self.bad_chain()
+        self.good_chain()
+        self.bad_annotation()
+        self.good_annotation()
 
-# -- RPR001: iteration over a set/frozenset ---------------------------------
+    # -- RPR101: allocation in a cycle-hot function -------------------------
 
-def bad_set_iteration():
-    total = 0
-    for item in {3, 1, 2}:  # expect: RPR001
-        total += item
-    squares = [x * x for x in frozenset((1, 2))]  # expect: RPR001
-    pool = {1, 2, 3}
-    for item in pool:  # expect: RPR001
-        total += item
-    materialized = list(set([1, 2]))  # expect: RPR001
-    return total, squares, materialized
+    def bad_allocation(self):
+        return [1, 2]  # expect: RPR101
 
+    def good_allocation(self):
+        return (1, 2)  # silent: RPR101
 
-def bad_set_algebra(left: set, right: set):
-    return [x for x in left | right]  # expect: RPR001
+    # -- RPR102: try/except inside a loop -----------------------------------
 
+    def bad_try(self, items):
+        for item in items:
+            try:  # expect: RPR102
+                item.fire()
+            except KeyError:
+                pass
 
-def good_ordered_iteration():
-    total = 0
-    for item in [3, 1, 2]:
-        total += item
-    pool = [1, 2, 3]
-    for item in pool:
-        total += item
-    shadowed = {1, 2}
-    shadowed = [1, 2]
-    for item in shadowed:  # reassigned to a list above: no finding
-        total += item
-    return total
+    def good_try(self, items):
+        try:  # silent: RPR102
+            for item in items:
+                item.fire()
+        except KeyError:
+            pass
 
+    # -- RPR103: attribute chain re-read ------------------------------------
 
-# -- RPR002: sorted() on a set without a key --------------------------------
+    def bad_chain(self):
+        if self.mem.l1.hits:  # expect: RPR103
+            return self.mem.l1.hits
+        return self.mem.l1.hits + 1
 
-def bad_sorted_set():
-    return sorted({3, 1, 2})  # expect: RPR002
+    def good_chain(self):
+        l1 = self.mem.l1  # silent: RPR103
+        return l1.hits + l1.hits + l1.hits
 
+    # -- RPR104: stale or unknown annotation --------------------------------
 
-def good_sorted():
-    with_key = sorted({3, 1, 2}, key=abs)
-    a_list = sorted([3, 1, 2])
-    return with_key, a_list
+    def bad_annotation(self):
+        return 1  # simcheck: hot-ok -- nothing to accept  # expect: RPR104
 
-
-# -- RPR003: unseeded or global RNG -----------------------------------------
-
-def bad_rng():
-    a = random.random()  # expect: RPR003
-    b = np.random.shuffle([1, 2, 3])  # expect: RPR003
-    rng = np.random.default_rng()  # expect: RPR003
-    return a, b, rng
+    def good_annotation(self):
+        return [3]  # simcheck: hot-ok -- the accepted case  # silent: RPR104
 
 
-def good_rng(seed: int):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 10)
-
-
-# -- RPR004: wall-clock reads -----------------------------------------------
-
-def bad_wall_clock():
-    t = time.time()  # expect: RPR004
-    d = datetime.now()  # expect: RPR004
-    return t, d
-
-
-def good_clock(now: int):
-    elapsed = time.perf_counter()  # observability timer, not model time
-    return now + 1, elapsed
-
-
-# -- RPR005: id()/hash() in model code --------------------------------------
-
-def bad_identity(warp):
-    return id(warp)  # expect: RPR005
-
-
-def good_identity(warp):
-    return warp.warp_id
-
-
-# -- RPR006: mutable default arguments --------------------------------------
-
-def bad_mutable_default(counts=[]):  # expect: RPR006
-    counts.append(1)
-    return counts
-
-
-def bad_factory_default(table=dict()):  # expect: RPR006
-    return table
-
-
-def good_default(counts=None):
-    if counts is None:
-        counts = []
-    counts.append(1)
-    return counts
-
-
-# -- suppressions -----------------------------------------------------------
-
-def suppressed_all():
-    for item in {1, 2}:  # simlint: ignore  # expect-suppressed: RPR001
-        yield item
-
-
-def suppressed_specific():
-    return sorted({1, 2})  # simlint: ignore[RPR002]  # expect-suppressed: RPR002
-
-
-def suppression_wrong_rule():
-    # The ignore names a different rule, so the finding still fires.
-    return sorted({1, 2})  # simlint: ignore[RPR001]  # expect: RPR002
+UNKNOWN = 1  # simcheck: hotok  # expect: RPR104

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -761,6 +762,26 @@ class TestProgressAndProfile:
         prof = eng.EngineProfile(mem_hits=3)
         assert "every point was served from cache" in prof.summary()
         assert "slowest points" not in prof.summary()
+
+    def test_pool_simulate_phase_is_each_points_own_seconds(self):
+        """Chunks simulate side by side: the ``simulate`` phase sums each
+        settled point's own seconds, never the overlapping chunk spans."""
+        e = ExperimentEngine(workers=2, use_disk_cache=False, progress=False)
+        points = [
+            SimPoint(app, design)
+            for app in ("rod-nw", "tpcU-q3")
+            for design in ("baseline", "rba")
+        ]
+        assert len(e._plan_chunks([(p, "key") for p in points])) == 2
+        t0 = time.perf_counter()
+        e.run_many(points)
+        wall = time.perf_counter() - t0
+        prof = e.profile
+        assert prof.phase_counts["simulate"] == len(points)
+        assert prof.phase_seconds["simulate"] == pytest.approx(
+            sum(prof.worker_seconds.values())
+        )
+        assert prof.phase_seconds["simulate"] <= wall * e.workers
 
 
 class TestEngineObservability:

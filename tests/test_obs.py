@@ -281,49 +281,3 @@ class TestObsCLI:
         from repro.obs.__main__ import main
 
         assert main(["something.json"]) == 2
-
-
-class TestLinterStrictMode:
-    SOURCE = (
-        "order = sorted({3, 1, 2})  # simlint: ignore[RPR002] — distinct ints\n"
-    )
-
-    def test_suppression_honoured_by_default(self):
-        from repro.analysis.linter import lint_source
-
-        findings = lint_source(self.SOURCE, path="x.py")
-        assert findings and all(f.suppressed for f in findings)
-
-    def test_strict_ignores_suppressions(self):
-        from repro.analysis.linter import lint_source
-
-        findings = lint_source(self.SOURCE, path="x.py", strict=True)
-        assert findings and not any(f.suppressed for f in findings)
-
-    def test_strict_report_fails_and_says_so(self, tmp_path):
-        from repro.analysis.linter import lint_paths
-
-        f = tmp_path / "mod.py"
-        f.write_text(self.SOURCE)
-        relaxed = lint_paths([str(f)])
-        strict = lint_paths([str(f)], strict=True)
-        assert relaxed.ok and not strict.ok
-        assert "strict" in strict.summary()
-
-    def test_obs_package_is_suppression_free(self):
-        import os
-
-        import repro.obs
-        from repro.analysis.linter import lint_paths
-
-        obs_dir = os.path.dirname(os.path.abspath(repro.obs.__file__))
-        report = lint_paths([obs_dir], strict=True)
-        assert report.ok, report.summary()
-
-    def test_cli_strict_flag(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
-        f = tmp_path / "mod.py"
-        f.write_text(self.SOURCE)
-        assert main(["--lint", str(f)]) == 0
-        assert main(["--lint", "--strict", str(f)]) == 1

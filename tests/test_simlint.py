@@ -1,115 +1,88 @@
-"""The determinism linter: rules, suppressions, CLI and output formats.
+"""The static gate's rule table, finding formats and command line.
 
 The fixture file (``tests/data/simlint_fixture.py``) carries the expected
 outcome inline: every line tagged ``# expect: RPRxxx`` must produce exactly
-that unsuppressed finding, every ``# expect-suppressed: RPRxxx`` line a
-suppressed one, and no other line may produce anything.
+that finding, every ``# silent: RPRxxx`` line is that rule's good case, and
+no line but the ``expect`` ones may produce anything.  Every rule
+``--list-rules`` prints must have both.
 """
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import RULES, lint_paths, lint_source
-from repro.analysis.linter import iter_python_files, rule_listing
+from repro.analysis import RULES, Finding, run_project_passes
+from repro.analysis.passes import rule_listing
 
 FIXTURE = Path(__file__).parent / "data" / "simlint_fixture.py"
-_EXPECT_RE = re.compile(r"#\s*expect(?P<sup>-suppressed)?:\s*(?P<rule>RPR\d{3})")
+_CASE_RE = re.compile(r"#\s*(?P<kind>expect|silent):\s*(?P<rule>RPR\d{3})")
 
 
-def _expected_findings():
-    """(line, rule, suppressed) triples declared inline in the fixture."""
-    expected = []
+def _cases(kind):
+    """(line, rule) pairs of one kind declared inline in the fixture."""
+    cases = []
     for lineno, text in enumerate(FIXTURE.read_text().splitlines(), start=1):
-        m = _EXPECT_RE.search(text)
-        if m:
-            expected.append((lineno, m.group("rule"), bool(m.group("sup"))))
-    return expected
+        m = _CASE_RE.search(text)
+        if m and m.group("kind") == kind:
+            cases.append((lineno, m.group("rule")))
+    return cases
 
 
-def test_fixture_declares_every_rule():
-    declared = {rule for _, rule, _ in _expected_findings()}
-    assert declared == set(RULES), (
-        "fixture must exercise every rule ID exactly; missing "
-        f"{set(RULES) - declared}, unknown {declared - set(RULES)}"
+def _fixture_tree(tmp_path):
+    """A package tree holding the fixture where the passes scan the model."""
+    root = tmp_path / "repro"
+    (root / "core").mkdir(parents=True)
+    shutil.copy(FIXTURE, root / "core" / FIXTURE.name)
+    return root
+
+
+def _fixture_findings(tmp_path):
+    return sorted((f.line, f.rule_id) for f in run_project_passes(_fixture_tree(tmp_path)))
+
+
+def _run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.analysis", *args],
+        capture_output=True,
+        text=True,
     )
 
 
-def test_fixture_findings_match_inline_expectations():
-    report = lint_paths([str(FIXTURE)])
-    actual = sorted((f.line, f.rule_id, f.suppressed) for f in report.findings)
-    assert actual == sorted(_expected_findings())
+def test_fixture_declares_every_rule():
+    """The rule table: each listed rule has a firing and a silent case."""
+    proc = _run_cli("--list-rules")
+    assert proc.returncode == 0
+    listed = set(re.findall(r"^(RPR\d{3})  ", proc.stdout, re.M))
+    assert listed
+    for kind in ("expect", "silent"):
+        declared = {rule for _, rule in _cases(kind)}
+        assert declared == listed, (
+            f"every listed rule needs an `# {kind}:` case; missing "
+            f"{listed - declared}, unknown {declared - listed}"
+        )
 
 
-def test_good_examples_are_silent():
-    """Lines without an expect tag — the good examples — yield nothing."""
-    tagged = {line for line, _, _ in _expected_findings()}
-    report = lint_paths([str(FIXTURE)])
-    untagged = [f for f in report.findings if f.line not in tagged]
-    assert untagged == []
+def test_fixture_findings_match_inline_expectations(tmp_path):
+    assert _fixture_findings(tmp_path) == sorted(_cases("expect"))
 
 
-@pytest.mark.parametrize(
-    "source, rule",
-    [
-        ("for x in {1, 2}:\n    pass\n", "RPR001"),
-        ("xs = sorted({1, 2})\n", "RPR002"),
-        ("import random\nx = random.random()\n", "RPR003"),
-        ("import time\nt = time.time()\n", "RPR004"),
-        ("key = id(object())\n", "RPR005"),
-        ("def f(xs=[]):\n    return xs\n", "RPR006"),
-    ],
-)
-def test_minimal_bad_source_fires(source, rule):
-    findings = lint_source(source)
-    assert [f.rule_id for f in findings] == [rule]
-    assert not findings[0].suppressed
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        "for x in [1, 2]:\n    pass\n",
-        "xs = sorted({1, 2}, key=str)\n",
-        "import numpy as np\nrng = np.random.default_rng(7)\n",
-        "import time\nt = time.perf_counter()\n",
-        "def f(xs=None):\n    return xs or []\n",
-    ],
-)
-def test_minimal_good_source_is_silent(source):
-    assert lint_source(source) == []
-
-
-def test_syntax_error_reports_rpr000():
-    findings = lint_source("def broken(:\n", path="bad.py")
-    assert [f.rule_id for f in findings] == ["RPR000"]
-    assert findings[0].path == "bad.py"
-    assert "syntax error" in findings[0].message
-
-
-def test_suppression_comment_variants():
-    all_rules = "for x in {1, 2}:  # simlint: ignore\n    pass\n"
-    one_rule = "xs = sorted({1, 2})  # simlint: ignore[RPR002]\n"
-    wrong_rule = "xs = sorted({1, 2})  # simlint: ignore[RPR001]\n"
-    assert all(f.suppressed for f in lint_source(all_rules))
-    assert all(f.suppressed for f in lint_source(one_rule))
-    assert not any(f.suppressed for f in lint_source(wrong_rule))
+def test_good_examples_are_silent(tmp_path):
+    """Lines without an expect tag — the silent cases among them — yield nothing."""
+    tagged = {line for line, _ in _cases("expect")}
+    assert [f for f in _fixture_findings(tmp_path) if f[0] not in tagged] == []
 
 
 def test_format_is_path_line_col_rule():
-    (finding,) = lint_source("xs = sorted({1, 2})\n", path="src/x.py")
-    text = finding.format()
-    assert text.startswith("src/x.py:1:6: RPR002 ")
+    text = Finding("RPR101", "src/x.py", 3, 0, "cycle-hot f(): list display").format()
+    assert text.startswith("src/x.py:3:1: RPR101 ")
     assert "(fix: " in text
 
 
 def test_github_annotation_format():
-    (finding,) = lint_source("xs = sorted({1, 2})\n", path="src/x.py")
-    line = finding.format_github()
-    assert line.startswith("::error file=src/x.py,line=1,col=6,title=simlint RPR002::")
+    line = Finding("RPR101", "src/x.py", 3, 0, "cycle-hot f(): list display").format_github()
+    assert line.startswith("::error file=src/x.py,line=3,col=1,title=simcheck RPR101::")
     assert "\n" not in line
 
 
@@ -119,53 +92,33 @@ def test_rule_listing_covers_all_rules():
         assert rule_id in listing
 
 
-def test_iter_python_files_rejects_non_python():
-    with pytest.raises(FileNotFoundError):
-        iter_python_files([str(FIXTURE.with_suffix(".txt"))])
-
-
-# -- the repository gate -----------------------------------------------------
-
-def test_repo_tree_is_lint_clean():
-    """The acceptance gate: zero unsuppressed findings on src/repro."""
-    import repro
-
-    pkg_dir = Path(repro.__file__).parent
-    report = lint_paths([str(pkg_dir)])
-    assert report.ok, "\n".join(f.format() for f in report.unsuppressed)
-
-
 # -- CLI ---------------------------------------------------------------------
 
-def _run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+
+def test_repo_tree_is_lint_clean():
+    """The acceptance gate, as CI runs it: zero findings on the package."""
+    proc = _run_cli("--check-all")
+    assert proc.returncode == 0, proc.stdout
+    assert "simcheck: 0 finding(s)" in proc.stdout
 
 
 def test_cli_exits_nonzero_on_findings(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
-    proc = _run_cli("--lint", str(bad))
+    proc = _run_cli("--check-all", str(_fixture_tree(tmp_path)))
     assert proc.returncode == 1
-    assert "RPR004" in proc.stdout
+    assert "RPR101" in proc.stdout
 
 
 def test_cli_exits_zero_on_clean_tree(tmp_path):
-    good = tmp_path / "good.py"
+    good = tmp_path / "repro" / "good.py"
+    good.parent.mkdir()
     good.write_text("x = sorted([2, 1])\n")
-    proc = _run_cli("--lint", str(good))
+    proc = _run_cli("--check-all", str(good.parent))
     assert proc.returncode == 0
     assert "0 finding(s)" in proc.stdout
 
 
 def test_cli_github_flag_emits_annotations(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("k = id(object())\n")
-    proc = _run_cli("--lint", "--github", str(bad))
+    proc = _run_cli("--check-all", "--github", str(_fixture_tree(tmp_path)))
     assert proc.returncode == 1
     assert "::error file=" in proc.stdout
 
