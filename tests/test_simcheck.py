@@ -369,6 +369,12 @@ class TestCheckAllCLI:
         assert main(["--no-such-flag"]) == 2
         capsys.readouterr()
 
+    def test_list_rules_covers_pass_families(self, capsys):
+        assert main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for rule_id in ("RPR101", "RPR102", "RPR103", "RPR104"):
+            assert rule_id in out
+
 
 class TestRealPackage:
     def test_shipped_package_is_simcheck_clean(self):
