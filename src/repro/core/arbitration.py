@@ -50,7 +50,8 @@ class ArbitrationUnit:
         self._heads: List[int] = [0] * num_banks
         # Change-history of queue lengths for delayed (pipelined) RBA
         # scoring: entries are (cycle, lengths-at-end-of-cycle); only kept
-        # when score_latency > 0.
+        # when score_latency > 0, and trimmed as it grows to at most
+        # score_latency + 1 entries, whatever the scheduler reads of it.
         self._history: Deque[Tuple[int, List[int]]] = deque([(-1, [0] * num_banks)])
         # statistics
         self.total_grants = 0  # cumulative statistic; snapshot/delta reported
@@ -156,6 +157,12 @@ class ArbitrationUnit:
             hist[-1] = (now, lengths)
         elif hist[-1][1] != lengths:
             hist.append((now, lengths))
+            # Drop what no later :meth:`queue_lengths` (whose target is at
+            # least ``now - score_latency``) can return; the entry just
+            # appended is newer than that target, so the loop stops on it.
+            target = now - self.score_latency
+            while hist[1][0] <= target:
+                hist.popleft()
 
     def queue_lengths(self, now: int) -> List[int]:  # simcheck: hot-ok -- RBA scoring inherently materializes the visible lengths
         """Queue lengths as visible to the scheduler at ``now``.

@@ -31,6 +31,12 @@ mappings (``scrambled``, custom callables) get per-warp rows, computed once
 and memoized.  Rows reproduce ``mapper(reg, warp_id, num_banks)`` call for
 call, so collected stats stay byte-identical to the uncompiled path.
 
+A row costs one pointer per instruction: its entries come from one
+process-wide table of bank tuples (:data:`_BANK_TUPLES`), so every equal
+tuple in every row, warp, layout and kernel is one object, instead of one
+copy per row of each tuple the row holds.  Likewise ``dst_bits`` holds one
+``int`` per destination register, not one per instruction.
+
 The compiled form is cached on the trace object itself (``trace._code``),
 so every CTA sharing a trace by reference — ``KernelTrace.uniform``
 replicates one ``CTATrace`` — compiles exactly once per process.
@@ -70,6 +76,13 @@ _INTERVALS = opcode_table(lambda op: op.value.initiation_interval)
 _NAMES = tuple([op.name for op in OPCODES])
 
 BankMapper = Callable[[int, int, int], int]
+
+#: Every bank tuple a bank row holds, keyed by itself.  An instruction
+#: reads at most ``MAX_SRC_OPERANDS`` (3) registers, so ``B`` banks give at
+#: most ``1 + B + B**2 + B**3`` entries (585 for 8 banks), and a smaller
+#: bank count's tuples are a subset of a larger one's.  Pickling keeps the
+#: sharing within an artifact (one copy of each tuple), never across them.
+_BANK_TUPLES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
 
 def _mapper_period(mapper: BankMapper, num_banks: int) -> Optional[int]:
@@ -116,14 +129,13 @@ class _BankTable:
         if row is None:
             # One mapper call per register the trace reads, then an index
             # per operand, unrolled over the operand counts an Instruction
-            # allows.  Instructions whose operands fall in the same banks
-            # share one tuple.
+            # allows.  Every entry is the process-wide table's copy of its
+            # tuple, so the row itself is the only per-instruction cost.
             bank = {
                 r: self.mapper(r, warp_id, self.num_banks)
                 for r in set().union(*self._src_regs)
             }
-            shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-            intern = shared.setdefault
+            intern = _BANK_TUPLES.setdefault
             entries = []
             for srcs in self._src_regs:
                 n = len(srcs)
@@ -179,7 +191,10 @@ class CompiledWarp:
         self.flags = ops.translate(_FLAGS)
         self.latencies = ops.translate(_LATENCIES)
         self.intervals = ops.translate(_INTERVALS)
-        self.dst_bits = tuple([0 if d is None else 1 << d for d in trace.dst_regs])
+        # Past the small-int cache every ``1 << d`` is a new object: one
+        # per destination register, not one per instruction.
+        bits = {d: 0 if d is None else 1 << d for d in set(trace.dst_regs)}
+        self.dst_bits = tuple([bits[d] for d in trace.dst_regs])
         hazard_masks = []
         for srcs, mask in zip(src_regs, self.dst_bits):
             for r in srcs:

@@ -9,6 +9,7 @@ limited sub-population of Fig. 11/14.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import asdict
 from functools import lru_cache, partial
 from pathlib import Path
@@ -170,12 +171,20 @@ def compiled_code_key(
     return code_key(PROFILE_VERSION, payload, mapping_name, num_banks)
 
 
-#: In-process compiled-kernel memo: (name, kernel spec, mapping, num_banks)
-#: → KernelTrace.  Registry profiles are constants within a process, so the
-#: spec names the resolved profile and a variant never meets the plain
-#: app's kernel; an engine worker running one app under many designs
-#: compiles/loads it once.
-_COMPILED_MEMO: Dict[Tuple[str, Pairs, str, int], KernelTrace] = {}
+#: Most compiled kernels :data:`_COMPILED_MEMO` keeps.  An app-affinity
+#: chunk runs each kernel spec's points back to back, and no figure gives
+#: one spec more than three bank layouts (``subcore-granularity``'s 8/4/2
+#: banks, the mapping ablation's three mappings); perfbench's obs-overhead
+#: fills two kernels before timing.  Eight covers both with room, and keeps
+#: a pool worker's compiled code at a few MB however many apps it meets.
+COMPILED_MEMO_SIZE = 8
+
+#: In-process compiled-kernel memo, least recently used first: (name,
+#: kernel spec, mapping, num_banks) → KernelTrace.  Registry profiles are
+#: constants within a process, so the spec names the resolved profile and a
+#: variant never meets the plain app's kernel; an engine worker running one
+#: app under many designs compiles/loads it once.
+_COMPILED_MEMO: OrderedDict[Tuple[str, Pairs, str, int], KernelTrace] = OrderedDict()
 
 
 def get_compiled_kernel(
@@ -188,7 +197,8 @@ def get_compiled_kernel(
 ) -> Tuple[KernelTrace, str]:
     """A kernel spec's trace (:func:`kernel_source`) with compiled code attached.
 
-    Resolution order: in-process memo (``source="memory"``), the
+    Resolution order: in-process memo of the :data:`COMPILED_MEMO_SIZE`
+    most recently used kernels (``source="memory"``), the
     content-addressed disk cache (``"disk"``; default location
     :func:`repro.trace.default_cache_dir`, pass ``cache_dir`` to redirect
     or ``use_disk=False`` to skip it), else build + compile + store
@@ -199,6 +209,7 @@ def get_compiled_kernel(
     memo_key = (name, kernel, mapping_name, num_banks)
     cached = _COMPILED_MEMO.get(memo_key)
     if cached is not None:
+        _COMPILED_MEMO.move_to_end(memo_key)
         return cached, "memory"
 
     identity, build = kernel_source(name, kernel)
@@ -220,6 +231,8 @@ def get_compiled_kernel(
         disk_dir = cache_dir if cache_dir is not None else default_cache_dir()
     compiled, source = get_or_build(disk_dir, key, _build)
     _COMPILED_MEMO[memo_key] = compiled
+    if len(_COMPILED_MEMO) > COMPILED_MEMO_SIZE:
+        _COMPILED_MEMO.popitem(last=False)
     return compiled, source
 
 

@@ -9,6 +9,8 @@ or CTAs other callers have generated.
 
 from __future__ import annotations
 
+from typing import Dict, Optional, Tuple
+
 import numpy as np
 
 from ..isa import Opcode
@@ -35,13 +37,19 @@ _OPCODE_IDS = bytes(
 _BAR, _EXIT = (bytes([OPCODES.index(op)]) for op in (Opcode.BAR, Opcode.EXIT))
 
 
-def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> WarpTrace:
+def build_warp_trace(
+    profile: AppProfile,
+    warp_index: int,
+    num_insts: int,
+    sources: Optional[Dict[Tuple[int, ...], Tuple[int, ...]]] = None,
+) -> WarpTrace:
     """Synthesize one warp's instruction stream.
 
     Every decision is a function of the bulk draws and the instruction
     index, so whole columns (opcode, destination, sources, address) are
     computed array-wise and handed to the trace as they are: no
-    ``Instruction`` is built.
+    ``Instruction`` is built.  ``sources`` interns source-register tuples:
+    an equal tuple already in it is used instead of a new one.
     """
     rng = np.random.default_rng((profile.seed, warp_index))
     p = profile
@@ -119,7 +127,9 @@ def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> Wa
     dsts = dst.tolist()
     for i in np.flatnonzero(is_store).tolist():
         dsts[i] = None
-    srcs = [tuple(row[:n]) for row, n in zip(src.tolist(), num_src.tolist())]
+    intern = ({} if sources is None else sources).setdefault
+    rows = (tuple(row[:n]) for row, n in zip(src.tolist(), num_src.tolist()))
+    srcs = [intern(t, t) for t in rows]
     mem = dict(
         zip(
             np.flatnonzero(is_global).tolist(),
@@ -139,9 +149,11 @@ def build_warp_trace(profile: AppProfile, warp_index: int, num_insts: int) -> Wa
 
 
 def build_cta_trace(profile: AppProfile) -> CTATrace:
+    """One CTA's warps; equal source-register tuples are one object across them."""
     lengths = profile.warp_lengths()
+    sources: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     return CTATrace(
-        [build_warp_trace(profile, i, n) for i, n in enumerate(lengths)]
+        [build_warp_trace(profile, i, n, sources) for i, n in enumerate(lengths)]
     )
 
 

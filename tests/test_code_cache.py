@@ -8,13 +8,22 @@ simulate byte-identically to a freshly synthesized one.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import volta_v100
+from repro.experiments.engine import ExperimentEngine, SimPoint
 from repro.gpu import simulate
+from repro.isa import MAX_SRC_OPERANDS
 from repro.obs import stats_digest
 from repro.regalloc import get_mapping
 from repro.trace import TraceBuilder, compile_kernel, make_kernel
+from repro.trace.code_cache import load_compiled, store_compiled
+from repro.trace.compiled import _BANK_TUPLES
 from repro.workloads import (
     compiled_code_key,
     get_compiled_kernel,
@@ -309,3 +318,124 @@ class TestCorruptionQuarantine:
         code_cache.reset_degradation()
         code_cache.store_compiled(tmp_path, "k1", small_kernel())
         assert code_cache.load_compiled(tmp_path, "k1").name == "small"
+
+
+# -- compiled code in bounded memory --------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+EIGHT_BANKS = ("warp_swizzle", 8)
+
+
+def _lowered(app, layout=EIGHT_BANKS):
+    kernel = get_kernel(app)
+    compile_kernel(kernel, get_mapping(layout[0]), layout[1])
+    return kernel
+
+
+def _bank_tuples(kernel):
+    """Every entry of every bank row of ``kernel``'s warp traces."""
+    return [
+        banks
+        for trace in kernel.ctas[0].warps
+        for table in trace._code._bank_tables.values()
+        for row in table._rows.values()
+        for banks in row
+    ]
+
+
+def _source_tuples(kernel):
+    return [srcs for trace in kernel.ctas[0].warps for srcs in trace.src_regs]
+
+
+def _one_object_per_value(tuples):
+    """Whether equal tuples are one object, and some value repeats."""
+    first = {}
+    return len(set(tuples)) < len(tuples) and all(first.setdefault(t, t) is t for t in tuples)
+
+
+class TestSharing:
+    """Bank tuples come from one process-wide table, source tuples from one
+    table per synthesized kernel; pickling keeps both within an artifact."""
+
+    def test_two_apps_share_every_equal_bank_tuple(self):
+        a, b = _lowered("pb-sgemm"), _lowered("cg-lou")
+        assert _one_object_per_value(_bank_tuples(a) + _bank_tuples(b))
+        assert _one_object_per_value(_source_tuples(a))
+
+    def test_table_is_bounded_per_bank_count(self):
+        for banks in (2, 4, 8):
+            _lowered(APP, ("warp_swizzle", banks))
+        _lowered("pb-sgemm")
+        assert all(_BANK_TUPLES[t] is t and len(t) <= MAX_SRC_OPERANDS for t in _BANK_TUPLES)
+        for banks in (2, 4, 8):
+            within = [t for t in _BANK_TUPLES if all(b < banks for b in t)]
+            assert len(within) <= sum(banks**k for k in range(MAX_SRC_OPERANDS + 1))
+
+    def test_loaded_artifact_keeps_the_sharing(self, tmp_path):
+        store_compiled(tmp_path, "k", _lowered("pb-sgemm"))
+        loaded = load_compiled(tmp_path, "k")
+        assert _one_object_per_value(_bank_tuples(loaded))
+        assert _one_object_per_value(_source_tuples(loaded))
+        assert all(trace._code.well_formed(trace) for trace in loaded.ctas[0].warps)
+
+    def test_artifact_bytes_do_not_depend_on_earlier_compiles(self, tmp_path):
+        # A fresh interpreter (under the caller's hash seed) lowers only the
+        # app; this process has lowered others first.
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.regalloc import get_mapping\n"
+            "from repro.trace import compile_kernel\n"
+            "from repro.trace.code_cache import store_compiled\n"
+            "from repro.workloads import get_kernel\n"
+            "kernel = get_kernel(sys.argv[2])\n"
+            "compile_kernel(kernel, get_mapping('warp_swizzle'), 8)\n"
+            "store_compiled(Path(sys.argv[1]), 'k', kernel)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+        subprocess.run(
+            [sys.executable, "-c", script, str(fresh), APP], env=env, check=True
+        )
+        for other in ("cg-lou", "pb-sgemm"):
+            _lowered(other)
+        store_compiled(warm, "k", _lowered(APP))
+        (a,), (b,) = (list(d.glob("*.code.pkl")) for d in (fresh, warm))
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestMemoBound:
+    """The compiled-kernel memo keeps the most recently used kernels only."""
+
+    @staticmethod
+    def _spec(i):
+        return (("insts", 8 + i), ("warps", 2))
+
+    def test_memo_stays_at_the_bound(self):
+        bound = registry.COMPILED_MEMO_SIZE
+        for i in range(bound + 3):
+            get_compiled_kernel("ub-1op", *LAYOUT, use_disk=False, kernel=self._spec(i))
+        assert len(registry._COMPILED_MEMO) == bound
+        kept = [key[1] for key in registry._COMPILED_MEMO]
+        assert kept == [self._spec(i) for i in range(3, bound + 3)]
+
+    def test_one_apps_layouts_are_memory_hits(self):
+        layouts = [("warp_swizzle", 2), ("warp_swizzle", 4), ("warp_swizzle", 8), ("mod", 2)]
+        for layout in layouts:
+            assert get_compiled_kernel(APP, *layout, use_disk=False)[1] == "compile"
+        for layout in layouts + layouts[::-1]:
+            assert get_compiled_kernel(APP, *layout, use_disk=False)[1] == "memory"
+
+    def test_serial_batch_compiles_each_app_layout_once(self, tmp_path):
+        # App-major, as the figures ask: each kernel spec under 2-, 8- and
+        # 2-bank designs in turn, over more specs than the memo holds.
+        specs = [self._spec(i) for i in range(registry.COMPILED_MEMO_SIZE + 2)]
+        engine = ExperimentEngine(workers=1, cache_dir=tmp_path, use_disk_cache=False)
+        engine.run_many(
+            SimPoint("ub-1op", design, kernel=spec)
+            for spec in specs
+            for design in ("baseline", "fully_connected", "rba")
+        )
+        assert engine.profile.code_compiles == 2 * len(specs)
+        assert len(registry._COMPILED_MEMO) == registry.COMPILED_MEMO_SIZE

@@ -9,7 +9,7 @@ executes per source operand.
 
 import pytest
 
-from repro.config import volta_v100
+from repro.config import SchedulerPolicy, volta_v100
 from repro.core import (
     ArbitrationUnit,
     CollectorUnit,
@@ -18,10 +18,12 @@ from repro.core import (
     ThreadBlock,
     Warp,
 )
+from repro.gpu import GPU
 from repro.isa import Instruction, Opcode, fadd, ffma
 from repro.regalloc import get_mapping
 from repro.trace import CTATrace, WarpTrace
 
+from .conftest import simple_kernel
 from .test_subcore import load_warps, make_subcore
 
 
@@ -164,6 +166,24 @@ class TestArbitrationUnit:
         arb.grant_cycle(1)   # end of cycle 1: [0, 0]
         assert arb.queue_lengths(2) == [1, 0]
         assert arb.queue_lengths(3) == [0, 0]
+
+    def test_delayed_score_history_is_bounded_without_a_reader(self):
+        # Nothing calls queue_lengths (a GTO sub-core with a score latency):
+        # the history still keeps only what a later read could return.
+        arb = ArbitrationUnit(num_banks=1, score_latency=20)
+        self.make_cu_with_requests(arb, [0] * 300)
+        for now in range(300):
+            arb.grant_cycle(now)  # the queue shrinks by one every cycle
+        assert len(arb._history) <= arb.score_latency + 1
+        assert arb.queue_lengths(299) == [300 - 280]  # end of cycle 279
+
+    def test_delayed_score_history_is_bounded_under_gto(self):
+        config = volta_v100().replace(num_sms=1, rba_score_latency=20)
+        assert config.scheduler is SchedulerPolicy.GTO
+        gpu = GPU(config)
+        gpu.run(simple_kernel(warps=16, insts=64))
+        lengths = [len(sc.arbitration._history) for sc in gpu.sms[0].subcores]
+        assert max(lengths) <= 21, lengths
 
     def test_bank_idle(self):
         arb = ArbitrationUnit(num_banks=2)
